@@ -1,6 +1,7 @@
 #include "core/exec.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -38,15 +39,27 @@ ExecPolicy ExecPolicy::from_env() {
   return parallel(static_cast<std::size_t>(v));
 }
 
+std::size_t worker_slots(const ExecPolicy& policy, std::size_t n) {
+  return std::max<std::size_t>(1, std::min(policy.n_threads, n));
+}
+
 void parallel_for_ranges(
     const ExecPolicy& policy, std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  const std::size_t n_workers = std::min(policy.n_threads, n);
+  const std::size_t n_workers = worker_slots(policy, n);
   if (n_workers <= 1 || t_in_worker) {
     body(0, n, 0);
     return;
   }
+
+  // About eight chunks per worker: small enough that a worker stuck with
+  // the expensive end of the index space is not the last one running by
+  // much, large enough that drawing a chunk (one fetch_add) and the
+  // body's per-call set-up stay negligible.
+  const std::size_t chunk = std::max<std::size_t>(1, n / (8 * n_workers));
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
 
   std::lock_guard<std::mutex> lock(pool_mutex);
   if (!shared_pool || shared_pool->n_threads() < n_workers)
@@ -54,13 +67,15 @@ void parallel_for_ranges(
 
   shared_pool->run_on_all([&](std::size_t worker) {
     if (worker >= n_workers) return;  // pool may be larger than needed
-    const std::size_t begin = worker * n / n_workers;
-    const std::size_t end = (worker + 1) * n / n_workers;
-    if (begin >= end) return;
     t_in_worker = true;
     try {
-      body(begin, end, worker);
+      while (!failed.load()) {
+        const std::size_t begin = next.fetch_add(chunk);
+        if (begin >= n) break;
+        body(begin, std::min(n, begin + chunk), worker);
+      }
     } catch (...) {
+      failed.store(true);
       t_in_worker = false;
       throw;
     }

@@ -3,9 +3,9 @@
 // A deliberately simple pool: N persistent workers, no work stealing, no
 // task queue. One job runs at a time; `run_on_all` hands every worker its
 // id and blocks until all of them finish. Higher-level loops (exec.hpp)
-// build static index partitions on top, so which worker computes which
-// index is a pure function of (n, n_threads) — the scheduling itself can
-// never perturb results.
+// hand out index chunks dynamically on top, so which worker computes
+// which index varies from run to run; determinism comes from the loops'
+// contract instead — per-index results do not depend on the schedule.
 #pragma once
 
 #include <condition_variable>

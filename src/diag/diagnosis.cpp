@@ -17,6 +17,14 @@ PatternSet make_window(const PatternSet& patterns, std::size_t n_applied) {
   return window;
 }
 
+/// Heap copy of a freshly simulated signature at exact capacity. The
+/// propagator grows a signature by appending, so moving it would keep the
+/// vectors' growth slack in every cached solo — several MiB of a cold g1k
+/// diagnosis's peak over its thousands of candidates.
+std::shared_ptr<const ErrorSignature> stored_copy(const ErrorSignature& sig) {
+  return std::make_shared<const ErrorSignature>(sig);
+}
+
 struct DiagMetrics {
   obs::Counter& contexts = obs::registry().counter("diag.contexts");
   obs::Counter& solo_lookups = obs::registry().counter("diag.solo_lookups");
@@ -125,8 +133,7 @@ void DiagnosisContext::fill_solo(SoloSlot& slot, SingleFaultPropagator& prop,
         return;
       }
     }
-    auto pre = std::make_shared<const ErrorSignature>(
-        prop.signature(pool_.faults[i]));
+    auto pre = stored_copy(prop.signature(pool_.faults[i]));
     solo_computes_.fetch_add(1, std::memory_order_relaxed);
     diag_metrics().solo_computes.inc();
     if (solo_store_ != nullptr)
@@ -153,8 +160,7 @@ const ErrorSignature& DiagnosisContext::solo_signature(std::size_t i) {
     std::shared_ptr<const ErrorSignature> pre;
     {
       std::lock_guard<std::mutex> lock(propagator_mutex_);
-      pre = std::make_shared<const ErrorSignature>(
-          propagator_->signature(pool_.faults[i]));
+      pre = stored_copy(propagator_->signature(pool_.faults[i]));
     }
     solo_computes_.fetch_add(1, std::memory_order_relaxed);
     diag_metrics().solo_computes.inc();
@@ -206,29 +212,34 @@ void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
     }
     return;
   }
-  parallel_for_ranges(policy, n,
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-                        // One private event engine per worker: identical
-                        // per-query results, no shared scratch. The good
-                        // machine is read-only, so workers share it.
-                        SingleFaultPropagator prop =
-                            pair_mode()
-                                ? SingleFaultPropagator(*netlist_,
-                                                        launch_window_,
-                                                        window_)
-                            : baseline_ != nullptr
-                                ? SingleFaultPropagator(*netlist_, window_,
-                                                        baseline_)
-                                : SingleFaultPropagator(*netlist_, window_);
-                        CancelCheckpoint cp(cancel, 8);
-                        for (std::size_t i = begin; i < end; ++i) {
-                          if (cp()) {
-                            diag_metrics().warm_dropped.inc(end - i);
-                            return;
-                          }
-                          fill_solo(solo_cache_[i], prop, i);
-                        }
-                      });
+  // One private event engine per worker, built on its first chunk and
+  // reused for every later one: identical per-query results, no shared
+  // scratch. The good machine is read-only, so workers share it.
+  std::vector<std::optional<SingleFaultPropagator>> props(
+      worker_slots(policy, n));
+  parallel_for_ranges(
+      policy, n, [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        // A chunk drawn after the token tripped polls it on its first
+        // index and counts itself whole, so the drops add up to exactly
+        // the slots this warm left cold.
+        CancelCheckpoint cp(cancel, 8);
+        for (std::size_t i = begin; i < end; ++i) {
+          if (cp()) {
+            diag_metrics().warm_dropped.inc(end - i);
+            return;
+          }
+          std::optional<SingleFaultPropagator>& prop = props[worker];
+          if (!prop) {
+            if (pair_mode())
+              prop.emplace(*netlist_, launch_window_, window_);
+            else if (baseline_ != nullptr)
+              prop.emplace(*netlist_, window_, baseline_);
+            else
+              prop.emplace(*netlist_, window_);
+          }
+          fill_solo(solo_cache_[i], *prop, i);
+        }
+      });
 }
 
 ErrorSignature DiagnosisContext::multiplet_signature(

@@ -1,9 +1,9 @@
 #include "diag/multiplet.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
+#include "diag/shortlist.hpp"
 #include "obs/metrics.hpp"
 
 namespace mdd {
@@ -49,9 +49,15 @@ DiagnosisReport diagnose_multiplet(DiagnosisContext& ctx,
     return timed_out;
   };
 
-  // Per-candidate solo error-bit count, for the shortlist's precision
-  // tie-break.
+  // One pass over the candidates collects each solo signature's error-bit
+  // count (the shortlist's precision tie-break) and feeds the residual
+  // overlap index (diag/shortlist.hpp). Shortlisting against a residual
+  // then only touches the observed bits candidates actually share,
+  // instead of re-matching the whole pool every round. A tripped deadline
+  // leaves the index partial (or empty): shortlists then surface fewer
+  // (or no) extensions and the greedy winds down.
   std::vector<std::size_t> solo_bits(ctx.n_candidates(), 0);
+  ShortlistIndex index(observed, ctx.n_candidates());
   {
     CancelCheckpoint cp(options.cancel, 16);
     for (std::size_t i = 0; i < ctx.n_candidates(); ++i) {
@@ -60,9 +66,12 @@ DiagnosisReport diagnose_multiplet(DiagnosisContext& ctx,
         count_rank_dropped(ctx.n_candidates() - i);
         break;
       }
-      solo_bits[i] = ctx.solo_signature(i).n_error_bits();
+      const ErrorSignature& sig = ctx.solo_signature(i);
+      solo_bits[i] = sig.n_error_bits();
+      index.add(static_cast<std::uint32_t>(i), sig);
       ++report.n_candidates_scored;
     }
+    index.finish();
   }
 
   struct H {
@@ -82,66 +91,23 @@ DiagnosisReport diagnose_multiplet(DiagnosisContext& ctx,
     return ctx.candidate(a.index) < ctx.candidate(b.index);
   };
 
-  // Inverted index: failing pattern -> (candidate, PO-mask) entries of the
-  // candidates' solo signatures. Shortlisting against a residual then only
-  // touches candidates that actually fail on residual patterns, instead of
-  // re-matching the whole pool every round.
-  struct Posting {
-    std::uint32_t candidate;
-    const Word* mask;
-  };
-  std::vector<std::vector<Posting>> postings(observed.n_patterns());
-  {
-    // A tripped deadline leaves the index partial (or empty): shortlists
-    // then surface fewer (or no) extensions and the greedy winds down.
-    CancelCheckpoint cp(options.cancel, 16);
-    for (std::size_t i = 0; i < ctx.n_candidates(); ++i) {
-      if (cp()) {
-        timed_out = true;
-        count_rank_dropped(ctx.n_candidates() - i);
-        break;
-      }
-      const ErrorSignature& sig = ctx.solo_signature(i);
-      for (std::size_t k = 0; k < sig.n_failing_patterns(); ++k) {
-        postings[sig.failing_patterns()[k]].push_back(
-            {static_cast<std::uint32_t>(i), sig.mask(k).data()});
-      }
-    }
-  }
-  std::vector<std::size_t> tfsf_acc(ctx.n_candidates(), 0);
-  std::vector<std::uint32_t> touched;
-  touched.reserve(ctx.n_candidates());
-
   /// Candidates (not in `exclude`) ranked by TFSF against `residual` — no
   /// misprediction penalty here: a masked defect legitimately predicts
   /// errors the tester never saw, and only exact composite evaluation can
-  /// judge that.
+  /// judge that. Every residual below is observed minus some composite,
+  /// a subset of observed, as the index requires.
   auto shortlist = [&](const ErrorSignature& residual,
                        const std::vector<char>& exclude,
                        std::size_t limit) {
-    const std::size_t nw = residual.n_po_words();
-    for (std::size_t k = 0; k < residual.n_failing_patterns(); ++k) {
-      const std::uint32_t p = residual.failing_patterns()[k];
-      const auto rmask = residual.mask(k);
-      for (const Posting& post : postings[p]) {
-        std::size_t overlap = 0;
-        for (std::size_t w = 0; w < nw; ++w)
-          overlap += static_cast<std::size_t>(
-              std::popcount(rmask[w] & post.mask[w]));
-        if (overlap == 0) continue;
-        if (tfsf_acc[post.candidate] == 0) touched.push_back(post.candidate);
-        tfsf_acc[post.candidate] += overlap;
-      }
-    }
     std::vector<H> heur;
-    heur.reserve(touched.size());
-    for (std::uint32_t i : touched) {
-      if (!exclude[i] && tfsf_acc[i] > 0) heur.push_back({i, tfsf_acc[i]});
-      tfsf_acc[i] = 0;
-    }
-    touched.clear();
-    std::sort(heur.begin(), heur.end(), heur_order);
-    if (heur.size() > limit) heur.resize(limit);
+    for (const ShortlistIndex::Overlap& o : index.overlaps(residual))
+      if (!exclude[o.candidate]) heur.push_back({o.candidate, o.tfsf});
+    // heur_order is total (candidate faults are distinct), so the kept
+    // prefix is the same as that of a full sort.
+    const std::size_t keep = std::min(limit, heur.size());
+    std::partial_sort(heur.begin(), heur.begin() + keep, heur.end(),
+                      heur_order);
+    heur.resize(keep);
     return heur;
   };
 

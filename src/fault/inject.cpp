@@ -59,14 +59,29 @@ void FaultyMachine::set_faults(std::span<const Fault> faults) {
   }
 }
 
+void FaultyMachine::reset_values() {
+  // Without bridges pass 0 overwrites every net from its fanins in
+  // topological order, so the previous contents are never read. With
+  // bridges a net can read a value later in topological order (a dominant
+  // aggressor, a wired partner's raw driver) before this frame wrote it;
+  // for a feedback bridge the fixpoint the passes settle in — or the state
+  // the pass cap leaves — depends on that start, so it must not be
+  // whatever the previous call left behind.
+  if (bridges_.empty()) return;
+  std::fill(values_.begin(), values_.end(), kAllZero);
+  std::fill(raw_values_.begin(), raw_values_.end(), kAllZero);
+}
+
 std::size_t FaultyMachine::run_wide(const PatternSet& stimuli,
                                     std::size_t block) {
+  reset_values();
   return run_frame(stimuli, block, /*apply_transitions=*/false);
 }
 
 std::size_t FaultyMachine::run_pair_wide(const PatternSet& launch,
                                          const PatternSet& capture,
                                          std::size_t block) {
+  reset_values();
   run_frame(launch, block, /*apply_transitions=*/false);
   if (frame1_.size() != values_.size()) frame1_.resize(values_.size());
   std::copy(values_.begin(), values_.end(), frame1_.begin());

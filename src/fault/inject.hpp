@@ -13,7 +13,11 @@
 // that may be far apart in topological order, so the machine iterates full
 // passes to a fixpoint; for non-feedback bridge sets this converges in at
 // most n_bridges+1 passes (a safety cap plus `converged()` flag guard
-// against user-forced feedback bridges).
+// against user-forced feedback bridges). Every run_wide / run_pair_wide
+// call starts from a defined state (all-zero nets when bridges are
+// present), so a machine answers exactly like a freshly constructed one
+// whatever it simulated before — feedback bridges included, whose
+// settled state depends on where the passes start.
 #pragma once
 
 #include <span>
@@ -93,6 +97,8 @@ class FaultyMachine {
  private:
   std::size_t run_frame(const PatternSet& stimuli, std::size_t block,
                         bool apply_transitions);
+  /// Zeroes the net values when bridges are installed (see run_wide).
+  void reset_values();
 
   struct PinOverride {
     NetId gate;

@@ -6,9 +6,34 @@
 namespace mdd {
 
 CriticalPathTracer::CriticalPathTracer(const Netlist& netlist)
-    : netlist_(&netlist), visited_(netlist.n_nets(), false) {
+    : netlist_(&netlist),
+      visited_(netlist.n_nets(), false),
+      flip_slots_(netlist.n_nets()) {
   if (!netlist.finalized())
     throw std::logic_error("CriticalPathTracer: netlist not finalized");
+}
+
+std::span<const std::uint32_t> CriticalPathTracer::flip_observed(
+    EventSim& sim, NetId stem) {
+  // A new committed state (another pattern, or another simulator) drops
+  // every memoized flip. Epoch 0 (nothing committed yet) is never
+  // memoized.
+  const std::uint64_t epoch = sim.epoch();
+  if (epoch == 0 || epoch != flip_epoch_) {
+    flip_outputs_.clear();
+    flip_epoch_ = epoch;
+    ++flip_generation_;
+  }
+  FlipSlot& slot = flip_slots_[stem];
+  if (epoch == 0 || slot.generation != flip_generation_) {
+    const std::vector<std::uint32_t> observed = sim.flip_observed_outputs(stem);
+    slot.generation = flip_generation_;
+    slot.begin = static_cast<std::uint32_t>(flip_outputs_.size());
+    flip_outputs_.insert(flip_outputs_.end(), observed.begin(),
+                         observed.end());
+    slot.end = static_cast<std::uint32_t>(flip_outputs_.size());
+  }
+  return {flip_outputs_.data() + slot.begin, slot.end - slot.begin};
 }
 
 CriticalPathTracer::Trace CriticalPathTracer::trace(EventSim& sim,
@@ -89,7 +114,7 @@ CriticalPathTracer::Trace CriticalPathTracer::trace(EventSim& sim,
         result.faults.push_back(Fault::branch_sa(n, p, !sim.value(src)));
       if (!visited_[src]) {
         // Exact stem analysis: does flipping the stem flip this PO?
-        const auto observed = sim.flip_observed_outputs(src);
+        const auto observed = flip_observed(sim, src);
         if (std::binary_search(observed.begin(), observed.end(), po_index))
           push_stem(src);
         else {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -392,42 +392,40 @@ double FaultSimulator::coverage(std::span<const Fault> faults) {
 std::vector<ErrorSignature> FaultSimulator::signatures(
     std::span<const Fault> faults, const ExecPolicy& policy) const {
   std::vector<ErrorSignature> out(faults.size());
-  parallel_for_ranges(policy, faults.size(),
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-                        FaultyMachine machine(*netlist_, machine_.kernel());
-                        for (std::size_t i = begin; i < end; ++i)
-                          out[i] = signature_on(machine, *netlist_,
-                                                *patterns_, good_,
-                                                {&faults[i], 1});
-                      });
+  // One machine per worker, built on its first chunk: a machine answers
+  // independently of what it simulated before, so reusing it across
+  // chunks cannot change a result.
+  std::vector<std::optional<FaultyMachine>> machines(
+      worker_slots(policy, faults.size()));
+  parallel_for_ranges(
+      policy, faults.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        std::optional<FaultyMachine>& machine = machines[worker];
+        if (!machine) machine.emplace(*netlist_, machine_.kernel());
+        for (std::size_t i = begin; i < end; ++i)
+          out[i] = signature_on(*machine, *netlist_, *patterns_, good_,
+                                {&faults[i], 1});
+      });
   return out;
 }
 
 std::vector<bool> FaultSimulator::detected(std::span<const Fault> faults,
                                            const ExecPolicy& policy) const {
-  std::vector<bool> out(faults.size());
-  // std::vector<bool> packs bits — adjacent slots share a word, so each
-  // worker writes a private buffer and the caller stitches ranges back in
-  // index order.
-  std::vector<std::vector<bool>> parts;
-  std::vector<std::size_t> offsets;
-  std::mutex mu;
+  // std::vector<bool> packs bits — adjacent slots share a word, so workers
+  // write one byte per index and the flags are packed afterwards.
+  std::vector<char> flags(faults.size(), 0);
+  std::vector<std::optional<FaultyMachine>> machines(
+      worker_slots(policy, faults.size()));
   parallel_for_ranges(
       policy, faults.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        FaultyMachine machine(*netlist_, machine_.kernel());
-        std::vector<bool> part(end - begin);
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        std::optional<FaultyMachine>& machine = machines[worker];
+        if (!machine) machine.emplace(*netlist_, machine_.kernel());
         for (std::size_t i = begin; i < end; ++i)
-          part[i - begin] =
-              detects_on(machine, *netlist_, *patterns_, good_, faults[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        parts.push_back(std::move(part));
-        offsets.push_back(begin);
+          flags[i] =
+              detects_on(*machine, *netlist_, *patterns_, good_, faults[i]);
       });
-  for (std::size_t k = 0; k < parts.size(); ++k)
-    for (std::size_t i = 0; i < parts[k].size(); ++i)
-      out[offsets[k] + i] = parts[k][i];
-  return out;
+  return std::vector<bool>(flags.begin(), flags.end());
 }
 
 double FaultSimulator::coverage(std::span<const Fault> faults,
@@ -502,39 +500,35 @@ double PairFaultSimulator::coverage(std::span<const Fault> faults) {
 std::vector<ErrorSignature> PairFaultSimulator::signatures(
     std::span<const Fault> faults, const ExecPolicy& policy) const {
   std::vector<ErrorSignature> out(faults.size());
-  parallel_for_ranges(policy, faults.size(),
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-                        FaultyMachine machine(*netlist_, machine_.kernel());
-                        for (std::size_t i = begin; i < end; ++i)
-                          out[i] = pair_signature_on(machine, *netlist_,
-                                                     *launch_, *capture_,
-                                                     good_, {&faults[i], 1});
-                      });
+  std::vector<std::optional<FaultyMachine>> machines(
+      worker_slots(policy, faults.size()));
+  parallel_for_ranges(
+      policy, faults.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        std::optional<FaultyMachine>& machine = machines[worker];
+        if (!machine) machine.emplace(*netlist_, machine_.kernel());
+        for (std::size_t i = begin; i < end; ++i)
+          out[i] = pair_signature_on(*machine, *netlist_, *launch_, *capture_,
+                                     good_, {&faults[i], 1});
+      });
   return out;
 }
 
 std::vector<bool> PairFaultSimulator::detected(
     std::span<const Fault> faults, const ExecPolicy& policy) const {
-  std::vector<bool> out(faults.size());
-  std::vector<std::vector<bool>> parts;
-  std::vector<std::size_t> offsets;
-  std::mutex mu;
+  std::vector<char> flags(faults.size(), 0);
+  std::vector<std::optional<FaultyMachine>> machines(
+      worker_slots(policy, faults.size()));
   parallel_for_ranges(
       policy, faults.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        FaultyMachine machine(*netlist_, machine_.kernel());
-        std::vector<bool> part(end - begin);
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        std::optional<FaultyMachine>& machine = machines[worker];
+        if (!machine) machine.emplace(*netlist_, machine_.kernel());
         for (std::size_t i = begin; i < end; ++i)
-          part[i - begin] = pair_detects_on(machine, *netlist_, *launch_,
-                                            *capture_, good_, faults[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        parts.push_back(std::move(part));
-        offsets.push_back(begin);
+          flags[i] = pair_detects_on(*machine, *netlist_, *launch_, *capture_,
+                                     good_, faults[i]);
       });
-  for (std::size_t k = 0; k < parts.size(); ++k)
-    for (std::size_t i = 0; i < parts[k].size(); ++i)
-      out[offsets[k] + i] = parts[k][i];
-  return out;
+  return std::vector<bool>(flags.begin(), flags.end());
 }
 
 double PairFaultSimulator::coverage(std::span<const Fault> faults,

@@ -194,8 +194,14 @@ void SessionCache::Pin::release() {
   if (cache_ == nullptr) return;
   std::lock_guard<std::mutex> lock(cache_->mutex_);
   auto it = cache_->pins_.find(key_);
-  if (it != cache_->pins_.end() && --it->second == 0)
+  if (it != cache_->pins_.end() && --it->second == 0) {
     cache_->pins_.erase(it);
+    // The sweep runs only when a load admits a session, and a pinned
+    // session it had to skip may have left the cache over budget. Without
+    // this sweep the excess would outlive the veto until the next miss —
+    // indefinitely, once every wanted session is resident.
+    cache_->evict_over_budget_locked();
+  }
   cache_ = nullptr;
 }
 

@@ -127,7 +127,9 @@ class SessionCache {
   /// sweep, so a long-running batch keeps its session's memos resident no
   /// matter what other traffic loads. Pinning does NOT load the session
   /// or extend the shared_ptr lifetime — it only vetoes eviction of the
-  /// cache's reference. Movable, shareable (counted per key).
+  /// cache's reference. Releasing a key's last pin re-runs the sweep, so
+  /// a budget the veto held over is enforced again at once. Movable,
+  /// shareable (counted per key).
   class Pin {
    public:
     Pin() = default;

@@ -28,6 +28,12 @@ class EventSim {
   /// Committed good value of net `n`.
   bool value(NetId n) const { return values_[n]; }
 
+  /// Identifies the committed state: every apply() draws a new value,
+  /// unique across all EventSim instances of the process, so a cache of
+  /// flip results keyed by it can never outlive the pattern it was
+  /// computed under (0 before the first apply).
+  std::uint64_t epoch() const { return epoch_; }
+
   /// Flips net `n` (as if a fault forced the opposite value) and
   /// propagates events forward. Returns the PO indices whose value
   /// changed. The committed state is restored before returning.
@@ -48,6 +54,7 @@ class EventSim {
   std::vector<NetId> touched_list_;  // for O(changed) cleanup
   std::vector<std::vector<NetId>> level_queue_;
   std::vector<bool> queued_;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace mdd

@@ -1,6 +1,7 @@
 #include "workload/campaign.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace mdd {
 
@@ -242,12 +243,16 @@ CampaignResult run_campaign(const Netlist& netlist, const PatternSet& patterns,
   const CollapsedFaults collapsed(netlist);
   std::vector<CaseOutcome> outcomes(config.n_cases);
 
+  // One simulator per worker, built on its first chunk: sampling
+  // (detectability checks) and datalog production need mutable machine
+  // scratch, whose history never changes an answer.
+  std::vector<std::optional<FaultSimulator>> sims(
+      worker_slots(config.exec, config.n_cases));
   parallel_for_ranges(
       config.exec, config.n_cases,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        // One simulator per worker: sampling (detectability checks) and
-        // datalog production need mutable machine scratch.
-        FaultSimulator fsim(netlist, patterns);
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        if (!sims[worker]) sims[worker].emplace(netlist, patterns);
+        FaultSimulator& fsim = *sims[worker];
         for (std::size_t c = begin; c < end; ++c) {
           std::mt19937_64 rng(case_seed(config.seed, c));
           const auto defect = sample_defect(netlist, fsim, config.defect, rng);
@@ -271,10 +276,13 @@ CampaignResult run_tdf_campaign(const Netlist& netlist,
   const CollapsedFaults collapsed(netlist);
   std::vector<CaseOutcome> outcomes(config.n_cases);
 
+  std::vector<std::optional<PairFaultSimulator>> sims(
+      worker_slots(config.exec, config.n_cases));
   parallel_for_ranges(
       config.exec, config.n_cases,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        PairFaultSimulator fsim(netlist, launch, capture);
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        if (!sims[worker]) sims[worker].emplace(netlist, launch, capture);
+        PairFaultSimulator& fsim = *sims[worker];
         for (std::size_t c = begin; c < end; ++c) {
           std::mt19937_64 rng(case_seed(config.seed, c));
           const auto defect =

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "fault/inject.hpp"
 #include "fsim/cpt.hpp"
@@ -149,6 +150,64 @@ TEST(CPT, CriticalFaultsExplainTheFailure) {
             << " on pattern " << p;
       }
     }
+  }
+}
+
+/// The per-pattern stem-flip memo: one long-lived tracer (memo warm across
+/// every PO of a pattern, invalidated by each apply) must report exactly
+/// what a fresh tracer does for every (pattern, PO), on circuits whose
+/// fanout stems reconverge — the case the flip analysis exists for.
+TEST(CPT, MemoizedTracerMatchesFreshTracerEverywhere) {
+  for (const std::string name : {"g200", "c17"}) {
+    SCOPED_TRACE(name);
+    const Netlist nl = make_named_circuit(name);
+    std::size_t stems = 0;
+    for (NetId n = 0; n < nl.n_nets(); ++n) stems += nl.fanouts(n).size() > 1;
+    ASSERT_GT(stems, 0u) << "circuit needs reconvergent fanout stems";
+    const PatternSet stimuli = PatternSet::random(24, nl.n_inputs(), 0xC97);
+    EventSim sim(nl);
+    CriticalPathTracer memo(nl);
+    for (std::size_t p = 0; p < stimuli.n_patterns(); ++p) {
+      sim.apply(stimuli, p);
+      // Odd patterns walk the POs backwards, so the memo is filled in a
+      // different order than the fresh tracers see.
+      for (std::uint32_t k = 0; k < nl.n_outputs(); ++k) {
+        const std::uint32_t po =
+            p % 2 == 0 ? k : static_cast<std::uint32_t>(nl.n_outputs() - 1 - k);
+        CriticalPathTracer fresh(nl);
+        ASSERT_EQ(memo.critical_faults(sim, po), fresh.critical_faults(sim, po))
+            << "p=" << p << " po=" << po;
+        ASSERT_EQ(memo.critical_nets(sim, po),
+                  CriticalPathTracer(nl).critical_nets(sim, po))
+            << "p=" << p << " po=" << po;
+      }
+    }
+  }
+}
+
+/// The memo is keyed by the simulator's committed state, not by the
+/// simulator object: alternating two simulators (or re-applying a pattern)
+/// through one tracer must never serve a stale flip.
+TEST(CPT, MemoInvalidatedByEveryApply) {
+  const Netlist nl = make_named_circuit("g200");
+  const PatternSet stimuli = PatternSet::random(12, nl.n_inputs(), 0xE90);
+  EventSim a(nl), b(nl);
+  CriticalPathTracer memo(nl);
+  for (std::size_t p = 0; p + 1 < stimuli.n_patterns(); ++p) {
+    a.apply(stimuli, p);
+    b.apply(stimuli, p + 1);
+    const std::uint64_t epoch = a.epoch();
+    for (std::uint32_t po = 0; po < nl.n_outputs(); ++po) {
+      EXPECT_EQ(memo.critical_faults(a, po),
+                CriticalPathTracer(nl).critical_faults(a, po));
+      EXPECT_EQ(memo.critical_faults(b, po),
+                CriticalPathTracer(nl).critical_faults(b, po));
+    }
+    a.apply(stimuli, p);  // same pattern again: a new epoch all the same
+    EXPECT_NE(a.epoch(), epoch);
+    EXPECT_NE(a.epoch(), b.epoch());
+    EXPECT_EQ(memo.critical_faults(a, 0),
+              CriticalPathTracer(nl).critical_faults(a, 0));
   }
 }
 

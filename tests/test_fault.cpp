@@ -273,6 +273,49 @@ TEST(FaultyMachine, BridgeChainConverges) {
   }
 }
 
+/// Regression: a reused machine answers exactly like a fresh one. Every
+/// run used to start from the net values the previous run left behind,
+/// and a feedback dominant bridge (the victim reaches its own aggressor)
+/// settles — or stops at the pass cap — in a state that depends on that
+/// start: on g1k about a third of random feedback bridges simulated
+/// differently on a used machine.
+TEST(FaultyMachine, UsedMachineMatchesFreshOnFeedbackBridges) {
+  const Netlist nl = make_named_circuit("g1k");
+  const PatternSet stimuli = PatternSet::random(256, nl.n_inputs(), 0xFEED);
+  const PatternSet launch = PatternSet::random(128, nl.n_inputs(), 0x1A);
+  const PatternSet capture = PatternSet::random(128, nl.n_inputs(), 0x2B);
+  std::mt19937_64 rng(0xB1D6E);
+  FaultyMachine used(nl);
+  std::size_t n_feedback = 0;
+  while (n_feedback < 150) {
+    const NetId a = static_cast<NetId>(rng() % nl.n_nets());
+    const NetId b = static_cast<NetId>(rng() % nl.n_nets());
+    if (a == b || !is_feedback_pair(nl, a, b)) continue;
+    ++n_feedback;
+    const Fault f = Fault::bridge_dom(a, b);
+    // Leave the used machine in some other fault's settled state first.
+    const Fault other = rng() % 2 == 0 ? Fault::bridge_dom(b, a)
+                                       : Fault::stem_sa(a, rng() % 2 == 0);
+    used.set_faults({&other, 1});
+    used.simulate(stimuli);
+    used.set_faults({&f, 1});
+    FaultyMachine fresh(nl);
+    fresh.set_faults({&f, 1});
+    ASSERT_EQ(used.simulate(stimuli), fresh.simulate(stimuli))
+        << to_string(f, nl) << " after " << to_string(other, nl);
+    // Repeating the query on the same machine changes nothing either.
+    ASSERT_EQ(used.simulate(stimuli), fresh.simulate(stimuli))
+        << to_string(f, nl) << " repeated";
+    if (n_feedback % 5 == 0) {
+      FaultyMachine fresh_pair(nl);
+      fresh_pair.set_faults({&f, 1});
+      ASSERT_EQ(used.simulate_pair(launch, capture),
+                fresh_pair.simulate_pair(launch, capture))
+          << to_string(f, nl) << " (pair mode)";
+    }
+  }
+}
+
 TEST(FaultyMachine, RejectsInvalidFault) {
   const Netlist nl = make_c17();
   FaultyMachine fm(nl);

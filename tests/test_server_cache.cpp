@@ -216,6 +216,37 @@ TEST(SessionCache, ReleasedPinMakesSessionEvictableAgain) {
   expect_sound_accounting(cache);
 }
 
+TEST(SessionCache, ReleasingTheLastPinEnforcesTheBudget) {
+  const CircuitFiles a = write_circuit_files("over_a");
+  const CircuitFiles b = write_circuit_files("over_b");
+  const CircuitFiles c = write_circuit_files("over_c");
+
+  std::size_t one;
+  {
+    SessionCache scout(1ull << 30);
+    one = scout.get(a.netlist_path, a.patterns_path)->approx_bytes;
+  }
+
+  // Budget for two; all three pinned while they load, so the sweep has to
+  // skip every victim and the cache ends over budget.
+  SessionCache cache(2 * one + one / 2);
+  {
+    const SessionCache::Pin pa = cache.pin(a.netlist_path, a.patterns_path);
+    const SessionCache::Pin pb = cache.pin(b.netlist_path, b.patterns_path);
+    const SessionCache::Pin pc = cache.pin(c.netlist_path, c.patterns_path);
+    cache.get(a.netlist_path, a.patterns_path);
+    cache.get(b.netlist_path, b.patterns_path);
+    cache.get(c.netlist_path, c.patterns_path);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(cache.stats().entries, 3u);
+  }  // vetoes lifted: the excess goes now, not at some later miss
+  const SessionCacheStats s = cache.stats();
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_LE(s.bytes, s.max_bytes);
+  expect_sound_accounting(cache);
+}
+
 TEST(SessionCache, NestedPinsReleaseIndependently) {
   const CircuitFiles a = write_circuit_files("nest_a");
   const CircuitFiles b = write_circuit_files("nest_b");
@@ -309,11 +340,14 @@ TEST(SessionCacheStress, ConcurrentDistinctCircuitsLoadIndependently) {
 }
 
 TEST(SessionCacheStress, ChurnKeepsByteAccountingExact) {
-  // Satellite of the sharding PR: hammer the load/evict/pin/release paths
-  // from several threads under a budget that forces constant eviction,
-  // then assert the running byte total still matches a recomputation.
-  // Any leak (evicted bytes not subtracted, double-subtraction on a
-  // pin/evict race) shows up as accounted != recomputed.
+  // Hammer the load/evict/pin/release paths from several threads under a
+  // budget that forces constant eviction, then assert the running byte
+  // total still matches a recomputation. Any leak (evicted bytes not
+  // subtracted, double-subtraction on a pin/evict race) shows up as
+  // accounted != recomputed. Eviction is certain, whatever the
+  // interleaving: if every load raced pins on all the other sessions,
+  // all three end resident over budget, and releasing the last pin
+  // evicts the excess.
   const CircuitFiles files[3] = {write_circuit_files("churn_a"),
                                  write_circuit_files("churn_b"),
                                  write_circuit_files("churn_c")};

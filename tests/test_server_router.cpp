@@ -248,11 +248,16 @@ TEST(ShardRouterIntegration, CrashedWorkerFailsTypedThenRecoversIdentical) {
   const Json* baseline_reports = baseline.find("reports");
   ASSERT_NE(baseline_reports, nullptr);
 
-  // Kill the owning worker right after submitting a streamed batch: the
-  // in-flight request must come back as a typed shard_failed error, not
-  // a connection that hangs until some client-side timeout.
+  // Kill the owning worker while a streamed batch is in flight on it: the
+  // request must come back as a typed shard_failed error, not a
+  // connection that hangs until some client-side timeout. The worker is
+  // stopped before the batch is sent, so the batch cannot finish before
+  // the kill however fast it is; a ping on the same connection, which the
+  // router answers only after it has handed the batch to the worker,
+  // fences the kill behind the hand-off.
   {
     TcpLineClient client("127.0.0.1", router.port);
+    ASSERT_EQ(::kill(worker_pid, SIGSTOP), 0);
     Json r;
     r.set("op", "diagnose_batch");
     r.set("id", "doomed");
@@ -263,7 +268,12 @@ TEST(ShardRouterIntegration, CrashedWorkerFailsTypedThenRecoversIdentical) {
     r.set("datalogs", Json(std::move(datalogs)));
     r.set("stream", true);
     client.send_line(r.dump());
+    client.send_line("{\"op\":\"ping\",\"id\":\"fence\"}");
+    // Nothing else can arrive first: the stopped worker answers nothing.
+    const Json fence = recv_json(client, 15000);
     ASSERT_EQ(::kill(worker_pid, SIGKILL), 0);
+    ASSERT_EQ(fence.get_string("op"), "ping")
+        << "expected the fence before any batch line: " << fence.dump();
 
     bool saw_shard_failed = false;
     for (int i = 0; i < 32 && !saw_shard_failed; ++i) {
