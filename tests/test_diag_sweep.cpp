@@ -24,6 +24,13 @@ struct SweepCase {
   std::size_t n_patterns;
 };
 
+// Without this, gtest prints the raw bytes of the case, whose `circuit`
+// pointer moves with address randomization; the discovered test names
+// would then change from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.circuit << '/' << c.n_patterns;
+}
+
 class DiagnosisSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(DiagnosisSweep, SingleStuckAtDiagnosedExactly) {
