@@ -1,6 +1,8 @@
 #include "diag/diagnosis.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <optional>
 
 #include "obs/metrics.hpp"
@@ -15,14 +17,6 @@ PatternSet make_window(const PatternSet& patterns, std::size_t n_applied) {
   for (std::size_t p = 0; p < n_applied; ++p)
     window.append(patterns.pattern(p));
   return window;
-}
-
-/// Heap copy of a freshly simulated signature at exact capacity. The
-/// propagator grows a signature by appending, so moving it would keep the
-/// vectors' growth slack in every cached solo — several MiB of a cold g1k
-/// diagnosis's peak over its thousands of candidates.
-std::shared_ptr<const ErrorSignature> stored_copy(const ErrorSignature& sig) {
-  return std::make_shared<const ErrorSignature>(sig);
 }
 
 struct DiagMetrics {
@@ -123,8 +117,9 @@ std::shared_ptr<const ErrorSignature> DiagnosisContext::apply_mask(
       signature_difference(*pre, masked_));
 }
 
-void DiagnosisContext::fill_solo(SoloSlot& slot, SingleFaultPropagator& prop,
-                                 std::size_t i) {
+void DiagnosisContext::fill_solo(std::size_t i, SingleFaultPropagator& prop,
+                                 std::mutex* prop_mutex) {
+  SoloSlot& slot = solo_cache_[i];
   std::call_once(slot.once, [&] {
     const std::size_t window = window_.n_patterns();
     if (solo_store_ != nullptr) {
@@ -133,7 +128,16 @@ void DiagnosisContext::fill_solo(SoloSlot& slot, SingleFaultPropagator& prop,
         return;
       }
     }
-    auto pre = stored_copy(prop.signature(pool_.faults[i]));
+    // The propagator returns the signature at exact capacity, so the
+    // cached copy carries no growth slack (several MiB of a cold g1k
+    // diagnosis's peak over its thousands of candidates).
+    std::shared_ptr<const ErrorSignature> pre;
+    {
+      std::unique_lock<std::mutex> lock;
+      if (prop_mutex != nullptr) lock = std::unique_lock(*prop_mutex);
+      pre = std::make_shared<const ErrorSignature>(
+          prop.signature(pool_.faults[i]));
+    }
     solo_computes_.fetch_add(1, std::memory_order_relaxed);
     diag_metrics().solo_computes.inc();
     if (solo_store_ != nullptr)
@@ -145,30 +149,11 @@ void DiagnosisContext::fill_solo(SoloSlot& slot, SingleFaultPropagator& prop,
 const ErrorSignature& DiagnosisContext::solo_signature(std::size_t i) {
   // Lookups minus computes (both exported) is the solo-cache hit count.
   diag_metrics().solo_lookups.inc();
-  SoloSlot& slot = solo_cache_[i];
   // The shared propagator's scratch state needs exclusive access; the
   // once_flag still guarantees a single compute per slot when readers
   // race.
-  std::call_once(slot.once, [&] {
-    const std::size_t window = window_.n_patterns();
-    if (solo_store_ != nullptr) {
-      if (auto hit = solo_store_->lookup(pool_.faults[i], window)) {
-        slot.sig = apply_mask(std::move(hit));
-        return;
-      }
-    }
-    std::shared_ptr<const ErrorSignature> pre;
-    {
-      std::lock_guard<std::mutex> lock(propagator_mutex_);
-      pre = stored_copy(propagator_->signature(pool_.faults[i]));
-    }
-    solo_computes_.fetch_add(1, std::memory_order_relaxed);
-    diag_metrics().solo_computes.inc();
-    if (solo_store_ != nullptr)
-      solo_store_->store(pool_.faults[i], window, pre);
-    slot.sig = apply_mask(std::move(pre));
-  });
-  return *slot.sig;
+  fill_solo(i, *propagator_, &propagator_mutex_);
+  return *solo_cache_[i].sig;
 }
 
 std::size_t DiagnosisContext::warm_solo_from_store() {
@@ -200,32 +185,50 @@ std::size_t DiagnosisContext::warm_solo_from_store() {
 
 void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
                                             const CancelToken* cancel) {
+  // Site groups: the pool stably sorted by fault site, so all candidates
+  // on one site are derived in a row from a single flip of it (the
+  // propagator's memo), by one worker.
   const std::size_t n = pool_.faults.size();
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return pool_.faults[a].net < pool_.faults[b].net;
+                   });
   if (policy.is_serial()) {
     CancelCheckpoint cp(cancel, 8);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t pos = 0; pos < n; ++pos) {
       if (cp()) {
-        diag_metrics().warm_dropped.inc(n - i);
+        diag_metrics().warm_dropped.inc(n - pos);
         return;
       }
-      solo_signature(i);
+      solo_signature(order[pos]);
     }
     return;
   }
+  std::vector<std::size_t> group_begin;
+  for (std::size_t pos = 0; pos < n; ++pos)
+    if (pos == 0 ||
+        pool_.faults[order[pos]].net != pool_.faults[order[pos - 1]].net)
+      group_begin.push_back(pos);
+  const std::size_t n_groups = group_begin.size();
+  group_begin.push_back(n);
   // One private event engine per worker, built on its first chunk and
   // reused for every later one: identical per-query results, no shared
   // scratch. The good machine is read-only, so workers share it.
   std::vector<std::optional<SingleFaultPropagator>> props(
-      worker_slots(policy, n));
+      worker_slots(policy, n_groups));
   parallel_for_ranges(
-      policy, n, [&](std::size_t begin, std::size_t end, std::size_t worker) {
+      policy, n_groups,
+      [&](std::size_t g_begin, std::size_t g_end, std::size_t worker) {
         // A chunk drawn after the token tripped polls it on its first
-        // index and counts itself whole, so the drops add up to exactly
+        // slot and counts itself whole, so the drops add up to exactly
         // the slots this warm left cold.
         CancelCheckpoint cp(cancel, 8);
-        for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t end = group_begin[g_end];
+        for (std::size_t pos = group_begin[g_begin]; pos < end; ++pos) {
           if (cp()) {
-            diag_metrics().warm_dropped.inc(end - i);
+            diag_metrics().warm_dropped.inc(end - pos);
             return;
           }
           std::optional<SingleFaultPropagator>& prop = props[worker];
@@ -237,7 +240,7 @@ void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
             else
               prop.emplace(*netlist_, window_);
           }
-          fill_solo(solo_cache_[i], *prop, i);
+          fill_solo(order[pos], *prop, nullptr);
         }
       });
 }

@@ -148,12 +148,13 @@ class DiagnosisContext {
   /// cached object, computed exactly once (per-slot std::once_flag).
   const ErrorSignature& solo_signature(std::size_t i);
 
-  /// Fills the solo-signature cache candidate-parallel under `policy`,
-  /// each worker propagating with its own event engine. Slots already
-  /// computed are kept; the cached values are byte-identical to the lazy
-  /// serial fill for any thread count. A cancelled `cancel` token stops
-  /// the warm at the next candidate boundary — remaining slots simply
-  /// stay cold and fill lazily on demand.
+  /// Fills the solo-signature cache site-parallel under `policy`: the
+  /// candidates are grouped by fault site and each group runs on one
+  /// worker's own event engine, so every site is flipped once. Slots
+  /// already computed are kept; the cached values are byte-identical to
+  /// the lazy serial fill for any thread count. A cancelled `cancel`
+  /// token stops the warm at the next candidate boundary — remaining
+  /// slots simply stay cold and fill lazily on demand.
   void warm_solo_signatures(const ExecPolicy& policy,
                             const CancelToken* cancel = nullptr);
 
@@ -221,8 +222,8 @@ class DiagnosisContext {
   std::optional<FaultSimulator> fsim_;
   std::optional<PairFaultSimulator> pair_fsim_;
   /// Event-driven PPSFP engine for the thousands of per-candidate solo
-  /// signatures (composite multiplet signatures still use the full
-  /// machines above).
+  /// signatures and the search's composites (the full machines above
+  /// serve use_reference_composites).
   std::optional<SingleFaultPropagator> propagator_;
 
   struct SoloSlot {
@@ -231,9 +232,11 @@ class DiagnosisContext {
     /// is a pointer copy, not a signature copy.
     std::shared_ptr<const ErrorSignature> sig;
   };
-  /// Computes slot `i` with `prop` (masked-bit subtraction included);
-  /// no-op if already filled.
-  void fill_solo(SoloSlot& slot, SingleFaultPropagator& prop, std::size_t i);
+  /// Fills solo slot `i` (store lookup, else a compute with `prop`, then
+  /// masked-bit subtraction); no-op if already filled. `prop_mutex`, when
+  /// non-null, is held around the compute (the shared propagator).
+  void fill_solo(std::size_t i, SingleFaultPropagator& prop,
+                 std::mutex* prop_mutex);
   /// Subtracts this context's masked bits from a pre-masking signature
   /// (pointer pass-through when nothing is masked).
   std::shared_ptr<const ErrorSignature> apply_mask(

@@ -68,6 +68,16 @@ void ErrorSignature::append(std::uint32_t pattern,
   masks_.insert(masks_.end(), po_mask.begin(), po_mask.end());
 }
 
+void ErrorSignature::reserve(std::size_t n_failing_patterns) {
+  patterns_.reserve(n_failing_patterns);
+  masks_.reserve(n_failing_patterns * n_po_words_);
+}
+
+void ErrorSignature::shrink_to_fit() {
+  patterns_.shrink_to_fit();
+  masks_.shrink_to_fit();
+}
+
 std::vector<std::uint32_t> ErrorSignature::failing_outputs(
     std::size_t i) const {
   std::vector<std::uint32_t> outs;

@@ -51,6 +51,11 @@ class ErrorSignature {
   /// Appends a failing pattern (must be > all current patterns).
   void append(std::uint32_t pattern, std::span<const Word> po_mask);
 
+  /// Capacity for `n_failing_patterns` failing patterns in all; with
+  /// shrink_to_fit, lets long-lived signatures carry no growth slack.
+  void reserve(std::size_t n_failing_patterns);
+  void shrink_to_fit();
+
   /// Failing output indices of the i-th failing pattern.
   std::vector<std::uint32_t> failing_outputs(std::size_t i) const;
 

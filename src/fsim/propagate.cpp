@@ -12,10 +12,15 @@ namespace mdd {
 namespace {
 
 struct PropagateMetrics {
+  /// Single-fault (solo) queries, however they are answered.
   obs::Counter& queries = obs::registry().counter("propagate.queries");
+  /// Flip waves: one per site a solo query had to propagate.
+  obs::Counter& site_flips = obs::registry().counter("propagate.site_flips");
+  /// Patterns per propagation actually run (site flips and composites).
   obs::Counter& patterns_simulated =
       obs::registry().counter("propagate.patterns_simulated");
-  /// Feedback bridges that fell back to the exact fixpoint machine.
+  /// Solo queries on feedback bridges that ran on the exact fixpoint
+  /// machine.
   obs::Counter& fallbacks = obs::registry().counter("propagate.fallbacks");
   obs::Counter& composite_queries =
       obs::registry().counter("propagate.composite_queries");
@@ -35,6 +40,22 @@ constexpr Word kZeroLanes[kMaxKernelLanes] = {};
 constexpr Word kOneLanes[kMaxKernelLanes] = {kAllOne, kAllOne, kAllOne,
                                              kAllOne, kAllOne, kAllOne,
                                              kAllOne, kAllOne};
+
+/// The failing patterns of `sig` whose bit is set in `selected` (one bit
+/// per pattern), at exact capacity.
+ErrorSignature select_patterns(const ErrorSignature& sig,
+                               std::span<const Word> selected) {
+  const std::vector<std::uint32_t>& failing = sig.failing_patterns();
+  auto is_selected = [&](std::uint32_t p) {
+    return ((selected[p / 64] >> (p % 64)) & 1u) != 0;
+  };
+  ErrorSignature out(sig.n_patterns(), sig.n_outputs());
+  out.reserve(static_cast<std::size_t>(
+      std::count_if(failing.begin(), failing.end(), is_selected)));
+  for (std::size_t i = 0; i < failing.size(); ++i)
+    if (is_selected(failing[i])) out.append(failing[i], sig.mask(i));
+  return out;
+}
 
 }  // namespace
 
@@ -128,101 +149,93 @@ const Word* SingleFaultPropagator::read_row(const Frames& vals, NetId n,
   return buf;
 }
 
-void SingleFaultPropagator::seed_site(NetId net, const Word* value,
-                                      const Word* good) {
-  if (!touched_[net] && std::equal(value, value + lanes_, good))
-    return;  // fault not excited here
-  std::copy(value, value + lanes_, scratch_.begin() + net * lanes_);
-  if (touched_[net]) return;
-  touched_[net] = true;
-  touched_list_.push_back(net);
-  for (NetId s : netlist_->fanouts(net)) {
-    if (!queued_[s]) {
-      queued_[s] = true;
-      level_queue_[netlist_->level(s)].push_back(s);
-    }
-  }
+bool SingleFaultPropagator::single_site(const Fault& fault) {
+  if (!fault.is_bridge()) return true;
+  // A dominant bridge's victim copies the aggressor's good value unless the
+  // victim's own effect can reach the aggressor.
+  return fault.kind == FaultKind::BridgeDom &&
+         !reaches(fault.net, fault.bridge_net);
 }
 
-void SingleFaultPropagator::seed_fault(const Fault& fault, std::size_t b0,
-                                       std::size_t m) {
+bool SingleFaultPropagator::excite(const Fault& fault) {
+  // Faulty site value XOR good value, per pattern: the stuck value, the
+  // gate re-evaluated with its pin forced, the aggressor's good value, or
+  // the launch value held on a transition.
   const Frames& vals = baseline_->values;
   Word good_row[kMaxKernelLanes];
   Word val_row[kMaxKernelLanes];
   Word other_row[kMaxKernelLanes];
-  switch (fault.kind) {
-    case FaultKind::StuckAt0:
-    case FaultKind::StuckAt1: {
-      const Word forced = fault.stuck_value() ? kAllOne : kAllZero;
-      gather_row(vals, fault.net, b0, m, good_row);
-      if (fault.pin == kStemPin) {
-        std::fill(val_row, val_row + lanes_, forced);
-        seed_site(fault.net, val_row, good_row);
-      } else {
-        // Branch fault: recompute the gate with the forced pin.
-        const auto fi = netlist_->fanins(fault.net);
-        for (std::size_t j = 0; j < fi.size(); ++j) {
-          Word* row = fanin_lanes_.data() + j * kMaxKernelLanes;
-          gather_row(vals, fi[j], b0, m, row);
-          fanin_ptrs_[j] = row;
-        }
-        fanin_ptrs_[fault.pin] = fault.stuck_value() ? kOneLanes : kZeroLanes;
-        kernel_->eval_gate(netlist_->kind(fault.net), fanin_ptrs_.data(),
-                           fi.size(), val_row);
-        seed_site(fault.net, val_row, good_row);
+  excitation_.assign(patterns_->n_blocks(), kAllZero);
+  if (fault.is_transition() && launch_ == nullptr)
+    return false;  // inert in single-frame mode
+  Word any = kAllZero;
+  for (std::size_t b = 0; b < patterns_->n_blocks();) {
+    const std::size_t m = std::min(lanes_, patterns_->n_blocks() - b);
+    gather_row(vals, fault.net, b, m, good_row);
+    if (fault.is_stuck_at() && fault.pin == kStemPin) {
+      std::fill(val_row, val_row + lanes_,
+                fault.stuck_value() ? kAllOne : kAllZero);
+    } else if (fault.is_stuck_at()) {
+      const auto fi = netlist_->fanins(fault.net);
+      for (std::size_t j = 0; j < fi.size(); ++j) {
+        Word* row = fanin_lanes_.data() + j * kMaxKernelLanes;
+        gather_row(vals, fi[j], b, m, row);
+        fanin_ptrs_[j] = row;
       }
-      return;
-    }
-    case FaultKind::BridgeDom: {
-      // Optimistic non-feedback assumption: the aggressor is unaffected,
-      // so the victim simply takes the aggressor's good value. propagate()
-      // watches the aggressor and triggers the fixpoint fallback if the
-      // wave ever reaches it.
-      gather_row(vals, fault.net, b0, m, good_row);
-      gather_row(vals, fault.bridge_net, b0, m, other_row);
-      seed_site(fault.net, other_row, good_row);
-      return;
-    }
-    case FaultKind::BridgeWAnd:
-    case FaultKind::BridgeWOr: {
-      gather_row(vals, fault.net, b0, m, good_row);
-      gather_row(vals, fault.bridge_net, b0, m, other_row);
-      for (std::size_t l = 0; l < lanes_; ++l)
-        val_row[l] = fault.kind == FaultKind::BridgeWAnd
-                         ? (good_row[l] & other_row[l])
-                         : (good_row[l] | other_row[l]);
-      seed_site(fault.net, val_row, good_row);
-      seed_site(fault.bridge_net, val_row, other_row);
-      return;
-    }
-    case FaultKind::SlowToRise:
-    case FaultKind::SlowToFall: {
-      if (launch_ == nullptr) return;  // inert in single-frame mode
-      gather_row(launch_values_, fault.net, b0, m, other_row);
-      gather_row(vals, fault.net, b0, m, good_row);
+      fanin_ptrs_[fault.pin] = fault.stuck_value() ? kOneLanes : kZeroLanes;
+      kernel_->eval_gate(netlist_->kind(fault.net), fanin_ptrs_.data(),
+                         fi.size(), val_row);
+    } else if (fault.kind == FaultKind::BridgeDom) {
+      gather_row(vals, fault.bridge_net, b, m, val_row);
+    } else {
+      gather_row(launch_values_, fault.net, b, m, other_row);
       for (std::size_t l = 0; l < lanes_; ++l) {
         const Word moved = fault.kind == FaultKind::SlowToRise
                                ? (~other_row[l] & good_row[l])
                                : (other_row[l] & ~good_row[l]);
-        val_row[l] =
-            (good_row[l] & ~moved) | (other_row[l] & moved);
+        val_row[l] = good_row[l] ^ moved;
       }
-      seed_site(fault.net, val_row, good_row);
-      return;
     }
+    for (std::size_t l = 0; l < m; ++l) {
+      excitation_[b + l] =
+          (val_row[l] ^ good_row[l]) & patterns_->valid_mask(b + l);
+      any |= excitation_[b + l];
+    }
+    b += m;
+  }
+  return any != kAllZero;
+}
+
+void SingleFaultPropagator::flip_site(NetId site) {
+  propagate_metrics().site_flips.inc();
+  propagate_metrics().patterns_simulated.inc(patterns_->n_patterns());
+  flip_site_ = site;
+  flip_ = ErrorSignature(patterns_->n_patterns(), netlist_->n_outputs());
+  for (std::size_t b = 0; b < patterns_->n_blocks();) {
+    const std::size_t m = std::min(lanes_, patterns_->n_blocks() - b);
+    Word* row = scratch_.data() + site * lanes_;
+    gather_row(baseline_->values, site, b, m, row);
+    for (std::size_t l = 0; l < lanes_; ++l) row[l] = ~row[l];
+    touched_[site] = true;
+    touched_list_.push_back(site);
+    for (NetId s : netlist_->fanouts(site)) enqueue_net(s);
+    propagate_flip(b, m);
+    collect(b, m, flip_);
+    clear_touched();
+    b += m;
   }
 }
 
-bool SingleFaultPropagator::propagate(std::size_t b0, std::size_t m,
-                                      ErrorSignature& sig, NetId watch) {
+void SingleFaultPropagator::propagate_flip(std::size_t b0, std::size_t m) {
   const Frames& vals = baseline_->values;
   Word vbuf[kMaxKernelLanes];
   Word cur_buf[kMaxKernelLanes];
-
+  // Fan-outs sit on higher levels, so one sweep settles the wave.
   for (std::uint32_t lv = 0; lv < level_queue_.size(); ++lv) {
     for (std::size_t idx = 0; idx < level_queue_[lv].size(); ++idx) {
       const NetId g = level_queue_[lv][idx];
       queued_[g] = false;
+      --pending_;
       const auto fi = netlist_->fanins(g);
       for (std::size_t j = 0; j < fi.size(); ++j)
         fanin_ptrs_[j] = read_row(vals, fi[j], b0, m,
@@ -236,34 +249,27 @@ bool SingleFaultPropagator::propagate(std::size_t b0, std::size_t m,
           touched_[g] = true;
           touched_list_.push_back(g);
         }
-        for (NetId s : netlist_->fanouts(g)) {
-          if (!queued_[s]) {
-            queued_[s] = true;
-            level_queue_[netlist_->level(s)].push_back(s);
-          }
-        }
+        for (NetId s : netlist_->fanouts(g)) enqueue_net(s);
       }
     }
     level_queue_[lv].clear();
   }
+}
 
-  // Collect PO differences lane by lane (touched POs gathered once per
-  // lane; the per-failing-bit loop then only walks that short list).
-  struct PoDiff {
-    std::uint32_t po;
-    Word diff;
-  };
-  std::vector<PoDiff> po_diffs;
+void SingleFaultPropagator::collect(std::size_t b0, std::size_t m,
+                                    ErrorSignature& sig) {
+  // Touched POs are gathered once per block; the per-failing-pattern loop
+  // then only walks that short list.
   for (std::size_t l = 0; l < m; ++l) {
     const Word valid = patterns_->valid_mask(b0 + l);
+    const std::vector<Word>& good = baseline_->values[b0 + l];
     Word any = kAllZero;
-    po_diffs.clear();
+    po_diffs_.clear();
     for (NetId t : touched_list_) {
       if (auto idx = netlist_->output_index(t)) {
-        const Word diff =
-            (scratch_[t * lanes_ + l] ^ vals[b0 + l][t]) & valid;
+        const Word diff = (scratch_[t * lanes_ + l] ^ good[t]) & valid;
         if (diff) {
-          po_diffs.push_back({*idx, diff});
+          po_diffs_.push_back({*idx, diff});
           any |= diff;
         }
       }
@@ -272,7 +278,7 @@ bool SingleFaultPropagator::propagate(std::size_t b0, std::size_t m,
       const int bit = std::countr_zero(any);
       any &= any - 1;
       std::fill(po_mask_buf_.begin(), po_mask_buf_.end(), kAllZero);
-      for (const PoDiff& pd : po_diffs) {
+      for (const PoDiff& pd : po_diffs_) {
         if ((pd.diff >> bit) & 1u)
           po_mask_buf_[pd.po / 64] |= Word{1} << (pd.po % 64);
       }
@@ -281,58 +287,29 @@ bool SingleFaultPropagator::propagate(std::size_t b0, std::size_t m,
                  po_mask_buf_);
     }
   }
+}
 
-  bool watch_touched = false;
-  for (NetId t : touched_list_) {
-    // Seeding marks the watched net itself; only a *recomputed* watch net
-    // indicates feedback, which seed values never are (the watch net is
-    // never a seed site for dominant bridges, and wired bridges watch
-    // nothing).
-    watch_touched = watch_touched || (t == watch);
-    touched_[t] = false;
-  }
+void SingleFaultPropagator::clear_touched() {
+  for (NetId t : touched_list_) touched_[t] = false;
   touched_list_.clear();
-  return watch_touched;
 }
 
 ErrorSignature SingleFaultPropagator::signature(const Fault& fault) {
   validate_fault(fault, *netlist_);
   propagate_metrics().queries.inc();
-  propagate_metrics().patterns_simulated.inc(patterns_->n_patterns());
-  ErrorSignature sig(patterns_->n_patterns(), netlist_->n_outputs());
-
-  // Dominant bridges are propagated optimistically assuming the aggressor
-  // is not downstream of the victim; watching the aggressor detects the
-  // rare feedback pair, which then reruns on the exact fixpoint machine.
-  // (Wired bridges seed the resolved value on both nets; if either net is
-  // downstream of the other the wave reaches it as a recomputation, so
-  // watch the higher-level net.)
-  NetId watch = kNoNet;
-  if (fault.kind == FaultKind::BridgeDom) {
-    watch = fault.bridge_net;
-  } else if (fault.kind == FaultKind::BridgeWAnd ||
-             fault.kind == FaultKind::BridgeWOr) {
-    if (is_feedback_pair(*netlist_, fault.net, fault.bridge_net))
-      watch = fault.net;  // force the fallback below via first group
-  }
-
-  for (std::size_t b = 0; b < patterns_->n_blocks();) {
-    const std::size_t m = std::min(lanes_, patterns_->n_blocks() - b);
-    seed_fault(fault, b, m);
-    const bool feedback =
-        propagate(b, m, sig, watch) ||
-        (watch == fault.net && fault.kind != FaultKind::BridgeDom);
-    if (feedback) {
+  if (!single_site(fault)) {
+    std::optional<ErrorSignature> sig = propagate_multiplet({&fault, 1});
+    if (!sig) {
       propagate_metrics().fallbacks.inc();
-      fallback_.set_faults({&fault, 1});
-      const PatternSet faulty =
-          launch_ ? fallback_.simulate_pair(*launch_, *patterns_)
-                  : fallback_.simulate(*patterns_);
-      return ErrorSignature::diff(baseline_->good, faulty);
+      sig = exact_signature({&fault, 1});
     }
-    b += m;
+    sig->shrink_to_fit();
+    return std::move(*sig);
   }
-  return sig;
+  if (!excite(fault))
+    return ErrorSignature(patterns_->n_patterns(), netlist_->n_outputs());
+  if (flip_site_ != fault.net) flip_site(fault.net);
+  return select_patterns(flip_, excitation_);
 }
 
 bool SingleFaultPropagator::reaches(NetId from, NetId to) {
@@ -591,46 +568,8 @@ bool SingleFaultPropagator::propagate_composite(const Frames& vals,
   return true;
 }
 
-void SingleFaultPropagator::collect_composite(std::size_t b0, std::size_t m,
-                                              ErrorSignature& sig) {
-  const Frames& vals = baseline_->values;
-  struct PoDiff {
-    std::uint32_t po;
-    Word diff;
-  };
-  std::vector<PoDiff> po_diffs;
-  for (std::size_t l = 0; l < m; ++l) {
-    const Word valid = patterns_->valid_mask(b0 + l);
-    Word any = kAllZero;
-    po_diffs.clear();
-    for (NetId t : touched_list_) {
-      if (auto idx = netlist_->output_index(t)) {
-        const Word diff =
-            (scratch_[t * lanes_ + l] ^ vals[b0 + l][t]) & valid;
-        if (diff) {
-          po_diffs.push_back({*idx, diff});
-          any |= diff;
-        }
-      }
-    }
-    while (any) {
-      const int bit = std::countr_zero(any);
-      any &= any - 1;
-      std::fill(po_mask_buf_.begin(), po_mask_buf_.end(), kAllZero);
-      for (const PoDiff& pd : po_diffs) {
-        if ((pd.diff >> bit) & 1u)
-          po_mask_buf_[pd.po / 64] |= Word{1} << (pd.po % 64);
-      }
-      sig.append(static_cast<std::uint32_t>((b0 + l) * 64 +
-                                            static_cast<std::size_t>(bit)),
-                 po_mask_buf_);
-    }
-  }
-}
-
 void SingleFaultPropagator::reset_composite() {
-  for (NetId t : touched_list_) touched_[t] = false;
-  touched_list_.clear();
+  clear_touched();
   for (NetId t : raw_touched_list_) raw_touched_[t] = false;
   raw_touched_list_.clear();
   for (auto& bucket : level_queue_) {
@@ -640,9 +579,8 @@ void SingleFaultPropagator::reset_composite() {
   pending_ = 0;
 }
 
-ErrorSignature SingleFaultPropagator::composite_fallback(
+ErrorSignature SingleFaultPropagator::exact_signature(
     std::span<const Fault> multiplet) {
-  propagate_metrics().composite_fallbacks.inc();
   fallback_.set_faults(multiplet);
   const PatternSet faulty =
       launch_ ? fallback_.simulate_pair(*launch_, *patterns_)
@@ -650,10 +588,9 @@ ErrorSignature SingleFaultPropagator::composite_fallback(
   return ErrorSignature::diff(baseline_->good, faulty);
 }
 
-ErrorSignature SingleFaultPropagator::signature(
+std::optional<ErrorSignature> SingleFaultPropagator::propagate_multiplet(
     std::span<const Fault> multiplet) {
-  propagate_metrics().composite_queries.inc();
-  if (!prepare_composite(multiplet)) return composite_fallback(multiplet);
+  if (!prepare_composite(multiplet)) return std::nullopt;
   propagate_metrics().patterns_simulated.inc(patterns_->n_patterns());
   ErrorSignature sig(patterns_->n_patterns(), netlist_->n_outputs());
   for (std::size_t b = 0; b < patterns_->n_blocks();) {
@@ -666,7 +603,7 @@ ErrorSignature SingleFaultPropagator::signature(
       if (!propagate_composite(launch_values_, b, m,
                                /*apply_transitions=*/false)) {
         reset_composite();
-        return composite_fallback(multiplet);
+        return std::nullopt;
       }
       launch_faulty_.clear();
       for (const CompTransition& t : comp_transitions_) {
@@ -684,13 +621,21 @@ ErrorSignature SingleFaultPropagator::signature(
     if (!propagate_composite(baseline_->values, b, m,
                              /*apply_transitions=*/launch_ != nullptr)) {
       reset_composite();
-      return composite_fallback(multiplet);
+      return std::nullopt;
     }
-    collect_composite(b, m, sig);
+    collect(b, m, sig);
     reset_composite();
     b += m;
   }
   return sig;
+}
+
+ErrorSignature SingleFaultPropagator::signature(
+    std::span<const Fault> multiplet) {
+  propagate_metrics().composite_queries.inc();
+  if (auto sig = propagate_multiplet(multiplet)) return std::move(*sig);
+  propagate_metrics().composite_fallbacks.inc();
+  return exact_signature(multiplet);
 }
 
 }  // namespace mdd

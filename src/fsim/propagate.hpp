@@ -2,15 +2,27 @@
 //
 // `SingleFaultPropagator` precomputes the good-machine value of every net
 // for every 64-pattern block, then answers signature queries by seeding
-// the fault sites' faulty words and propagating only through the affected
-// cone with a levelized event queue — the classic parallel-pattern fault
-// propagation that makes per-candidate simulation proportional to the
-// fault's influence cone instead of the whole netlist. Queries evaluate
-// one simulation-kernel lane group (kernel.lanes consecutive 64-pattern
-// blocks) per wave; results are bit-identical for every kernel.
+// faulty words and propagating only through the affected cone with a
+// levelized event queue — the classic parallel-pattern fault propagation
+// that makes simulation proportional to the influence cone instead of the
+// whole netlist. Waves evaluate one simulation-kernel lane group
+// (kernel.lanes consecutive 64-pattern blocks) at a time; results are
+// bit-identical for every kernel.
 //
 // Two query shapes share the machinery:
-//  * signature(const Fault&) — single-fault queries (solo signatures);
+//  * signature(const Fault&) — single-fault queries (solo signatures).
+//    Every stuck-at, transition and non-feedback dominant bridge changes
+//    one net (its *site*), as a function of values the fault itself
+//    cannot reach, so its signature is
+//    the site's *flip* signature (the site complemented on every pattern)
+//    restricted to the patterns that excite the fault: gate evaluation is
+//    bitwise, so patterns never interact, and on an excited pattern the
+//    faulty site value is exactly the flipped one. One flip wave per site
+//    therefore serves every fault on that site; the propagator keeps the
+//    last site's flip as a one-entry memo (stem-sharing, as in HOPE).
+//    Wired bridges and dominant bridges whose aggressor lies in the
+//    victim's fan-out cone change more than one net and run as a
+//    one-member composite query instead.
 //  * signature(span<const Fault>) — an entire multiplet injected at once
 //    (composite evaluation), propagating through the union of the
 //    members' fan-out cones with the same bridge-fixpoint and two-frame
@@ -74,9 +86,11 @@ class SingleFaultPropagator {
 
   const SimKernel& kernel() const { return *kernel_; }
 
-  /// Error signature of one fault; equals FaultyMachine-based signatures
-  /// for non-feedback faults. Feedback bridges fall back to the exact
-  /// fixpoint machine.
+  /// Error signature of one fault, bit-identical to
+  /// FaultSimulator/PairFaultSimulator::signature(fault) and stored at
+  /// exact capacity (callers cache thousands of them). Single-site faults
+  /// are derived from the site's flip, which is propagated only when the
+  /// site differs from the previous single-site query's.
   ErrorSignature signature(const Fault& fault);
 
   /// Error signature of an entire multiplet injected simultaneously
@@ -101,12 +115,20 @@ class SingleFaultPropagator {
   const Word* read_row(const Frames& vals, NetId n, std::size_t b0,
                        std::size_t m, Word* buf) const;
 
-  void seed_fault(const Fault& fault, std::size_t b0, std::size_t m);
-  /// Propagates the seeded wave; returns true if `watch` was touched
-  /// (feedback-bridge detection — the optimistic result is then invalid).
-  bool propagate(std::size_t b0, std::size_t m, ErrorSignature& sig,
-                 NetId watch);
-  void seed_site(NetId net, const Word* value, const Word* good);
+  /// True if `fault` changes only its site `fault.net`, from values no
+  /// fault effect reaches (everything but wired and feedback bridges).
+  bool single_site(const Fault& fault);
+  /// Fills excitation_[block] with the patterns on which `fault` sets its
+  /// site to the complement of the good value; false if there are none.
+  bool excite(const Fault& fault);
+  /// Propagates the flip of `site` over every block into the memo.
+  void flip_site(NetId site);
+  /// Runs the queued wave of a flip to quiescence (one level sweep).
+  void propagate_flip(std::size_t b0, std::size_t m);
+  /// Appends the touched overlay's PO differences for the group at `b0`
+  /// to `sig`.
+  void collect(std::size_t b0, std::size_t m, ErrorSignature& sig);
+  void clear_touched();
 
   // Composite (multi-fault) machinery. The multiplet is partitioned like
   // FaultyMachine::set_faults; every dequeued net is re-evaluated through
@@ -156,11 +178,13 @@ class SingleFaultPropagator {
   /// enqueue backwards in level order). False if the sweep cap was hit.
   bool propagate_composite(const Frames& vals, std::size_t b0, std::size_t m,
                            bool apply_transitions);
-  /// Appends this group's PO differences to `sig`.
-  void collect_composite(std::size_t b0, std::size_t m, ErrorSignature& sig);
   void reset_composite();
-  /// Exact-machine path (cyclic couplings / sweep-cap safety).
-  ErrorSignature composite_fallback(std::span<const Fault> multiplet);
+  /// The event-driven composite query; nullopt when the exact machine must
+  /// answer instead (cyclic couplings / sweep-cap safety).
+  std::optional<ErrorSignature> propagate_multiplet(
+      std::span<const Fault> multiplet);
+  /// Exact-machine path.
+  ErrorSignature exact_signature(std::span<const Fault> multiplet);
   bool is_wired_member(NetId g) const;
 
   const Netlist* netlist_;
@@ -183,6 +207,19 @@ class SingleFaultPropagator {
   std::vector<Word> fanin_lanes_;  ///< [fanin slot][lane] gather buffer
   std::vector<const Word*> fanin_ptrs_;
   std::vector<Word> po_mask_buf_;
+  struct PoDiff {
+    std::uint32_t po;
+    Word diff;
+  };
+  std::vector<PoDiff> po_diffs_;  ///< collect()'s per-block buffer
+
+  /// The last single-site query's site and flip signature (the one-entry
+  /// memo): a private copy, valid for as long as the propagator — the
+  /// baseline never changes, and composite queries only reuse the scratch
+  /// overlay it was collected from.
+  NetId flip_site_ = kNoNet;
+  ErrorSignature flip_;
+  std::vector<Word> excitation_;  ///< [block] excited patterns of a query
 
   // Composite-query scratch (allocated on first composite query).
   std::vector<CompStem> comp_stems_;

@@ -155,5 +155,64 @@ TEST(CompactReverse, PreservesCoverageAndShrinks) {
     EXPECT_TRUE(after.detects(f)) << to_string(f, nl);
 }
 
+/// FNV-1a over a pattern set's shape and valid bits.
+std::uint64_t pattern_digest(const PatternSet& ps) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(ps.n_patterns());
+  mix(ps.n_signals());
+  for (std::size_t b = 0; b < ps.n_blocks(); ++b)
+    for (std::size_t s = 0; s < ps.n_signals(); ++s)
+      mix(ps.word(b, s) & ps.valid_mask(b));
+  return h;
+}
+
+/// The test-generation flows fault-drop with the event-driven propagator;
+/// their output is pinned to golden digests so any change in a solo
+/// signature the flows consume (which pattern first detects which fault)
+/// shows up as a different pattern set.
+TEST(GenerateTests, PatternSetsMatchGoldenDigests) {
+  struct Golden {
+    const char* circuit;
+    std::size_t n_patterns, n_detected, n_untestable, n_aborted;
+    std::uint64_t digest;
+  };
+  for (const Golden& g : {Golden{"c17", 6, 22, 0, 0, 0xe2f0102460dbc8c5ull},
+                          Golden{"g200", 71, 837, 95, 47,
+                                 0xa11438c4868af7c0ull}}) {
+    SCOPED_TRACE(g.circuit);
+    const TpgResult r = generate_tests(make_named_circuit(g.circuit));
+    EXPECT_EQ(r.patterns.n_patterns(), g.n_patterns);
+    EXPECT_EQ(r.n_detected, g.n_detected);
+    EXPECT_EQ(r.n_untestable, g.n_untestable);
+    EXPECT_EQ(r.n_aborted, g.n_aborted);
+    EXPECT_EQ(pattern_digest(r.patterns), g.digest);
+  }
+}
+
+TEST(GenerateTdfTests, PairSetsMatchGoldenDigests) {
+  struct Golden {
+    const char* circuit;
+    std::size_t n_pairs, n_detected;
+    std::uint64_t launch, capture;
+  };
+  for (const Golden& g :
+       {Golden{"c17", 9, 22, 0x82cb228aaa066191ull, 0x1cf17e2faef42116ull},
+        Golden{"g200", 62, 357, 0x2765f43f2def1c1full,
+               0xf79f7b48e14d68daull}}) {
+    SCOPED_TRACE(g.circuit);
+    const TdfTpgResult r = generate_tdf_tests(make_named_circuit(g.circuit));
+    EXPECT_EQ(r.capture.n_patterns(), g.n_pairs);
+    EXPECT_EQ(r.n_detected, g.n_detected);
+    EXPECT_EQ(pattern_digest(r.launch), g.launch);
+    EXPECT_EQ(pattern_digest(r.capture), g.capture);
+  }
+}
+
 }  // namespace
 }  // namespace mdd

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -349,6 +350,49 @@ TEST_F(ParallelEquivFixture, CancelledWarmCountsExactlyTheSlotsLeftCold) {
       EXPECT_EQ(dropped.value() - before, cold);
       if (budget_us == 0) EXPECT_EQ(cold, ctx.n_candidates());
     }
+  }
+}
+
+/// Site-grouped warm on a pool where one site owns most candidates: a wide
+/// bridge fan-out under a tight cap fills the pool with the top-support
+/// victim's bridges, so one group dwarfs the others.
+TEST_F(ParallelEquivFixture, SiteGroupedWarmMatchesSerialOnSkewedGroups) {
+  FaultSimulator fsim(*netlist_, *patterns_);
+  const std::vector<Fault> defect{Fault::stem_sa(21, true)};
+  const Datalog log = datalog_from_defect(*netlist_, defect, *patterns_,
+                                          fsim.good_response());
+  ASSERT_TRUE(log.has_failures());
+  CandidateOptions options;
+  options.bridge_partners = 400;
+  options.max_candidates = 120;
+
+  DiagnosisContext serial(*netlist_, *patterns_, log, options);
+  std::map<NetId, std::size_t> per_site;
+  for (const Fault& f : serial.pool().faults) ++per_site[f.net];
+  std::size_t largest = 0;
+  for (const auto& [site, n] : per_site) largest = std::max(largest, n);
+  ASSERT_GE(per_site.size(), 3u);
+  ASSERT_GT(2 * largest, serial.n_candidates());
+
+  obs::Counter& flips = obs::registry().counter("propagate.site_flips");
+  std::uint64_t before = flips.value();
+  serial.warm_solo_signatures(ExecPolicy::serial());
+  const std::uint64_t serial_flips = flips.value() - before;
+  EXPECT_EQ(serial.solo_compute_count(), serial.n_candidates());
+  EXPECT_LE(serial_flips, per_site.size());
+
+  for (std::size_t threads : kThreadAxis) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DiagnosisContext warm(*netlist_, *patterns_, log, options);
+    before = flips.value();
+    warm.warm_solo_signatures(ExecPolicy::parallel(threads));
+    // Each site is flipped once, by whichever worker drew its group.
+    EXPECT_EQ(flips.value() - before, serial_flips);
+    EXPECT_EQ(warm.solo_compute_count(), warm.n_candidates());
+    ASSERT_EQ(warm.n_candidates(), serial.n_candidates());
+    for (std::size_t i = 0; i < serial.n_candidates(); ++i)
+      ASSERT_EQ(warm.solo_signature(i), serial.solo_signature(i))
+          << "i=" << i;
   }
 }
 
