@@ -166,21 +166,26 @@ BENCHMARK(BM_DetectedBatchThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// ---- event-driven single-pattern paths (kernel-independent) ----
+// ---- event-driven paths (kernel-independent) ----
 
+/// One 64-pattern block: commit (good simulation, memo reset) plus a
+/// trace of every (slot, PO), each stem flipped once for the block.
 void BM_CriticalPathTrace(benchmark::State& state) {
   const Netlist& nl = circuit("g1k");
-  const PatternSet stimuli = PatternSet::random(8, nl.n_inputs(), 1);
-  EventSim sim(nl);
-  sim.apply(stimuli, 0);
+  const PatternSet stimuli = PatternSet::random(64, nl.n_inputs(), 1);
+  std::vector<std::uint32_t> block(64);
+  for (std::uint32_t p = 0; p < 64; ++p) block[p] = p;
   CriticalPathTracer cpt(nl);
-  std::uint32_t po = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cpt.critical_nets(sim, po));
-    po = (po + 1) % static_cast<std::uint32_t>(nl.n_outputs());
+    cpt.commit(stimuli, block);
+    for (std::size_t slot = 0; slot < 64; ++slot)
+      for (std::uint32_t po = 0; po < nl.n_outputs(); ++po)
+        benchmark::DoNotOptimize(cpt.critical_nets(slot, po));
   }
+  state.SetItemsProcessed(state.iterations() * 64 *
+                          static_cast<std::int64_t>(nl.n_outputs()));
 }
-BENCHMARK(BM_CriticalPathTrace);
+BENCHMARK(BM_CriticalPathTrace)->Unit(benchmark::kMillisecond);
 
 void BM_EventFlip(benchmark::State& state) {
   const Netlist& nl = circuit("g1k");

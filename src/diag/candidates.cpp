@@ -5,23 +5,10 @@
 #include <unordered_map>
 
 #include "fsim/cpt.hpp"
-#include "sim/event_sim.hpp"
 
 namespace mdd {
 
 namespace {
-
-/// Good-machine net values for the traced failing patterns, bit-packed per
-/// net (bit i = value under traced pattern i). Used to select
-/// behaviour-consistent bridge aggressors.
-struct TracedValues {
-  std::vector<Word> bits;  // per net, one word (<= 64 traced patterns)
-  std::size_t n_traced = 0;
-
-  Word mask() const {
-    return n_traced >= 64 ? kAllOne : ((Word{1} << n_traced) - 1);
-  }
-};
 
 /// Indices (into the failing-pattern list) to trace: all of them when they
 /// fit the budget, otherwise an even spread across the whole list — with
@@ -46,17 +33,19 @@ CandidatePool extract_candidates(const Netlist& netlist,
                                  const Datalog& datalog,
                                  const CandidateOptions& options) {
   std::unordered_map<Fault, std::uint32_t, FaultHash> support;
-  EventSim sim(netlist);
   CriticalPathTracer cpt(netlist);
 
+  // The traced failing patterns form one block: slot k is trace_at[k].
+  // cpt.good(n) then holds net n's good value under every traced pattern
+  // (bit k), which the bridge-partner scan below reads.
   const ErrorSignature& obs = datalog.observed;
   const std::vector<std::size_t> trace_at = spread_indices(
       obs.n_failing_patterns(),
-      std::min(options.max_traced_patterns, std::size_t{64}));
-
-  TracedValues traced;
-  traced.bits.assign(netlist.n_nets(), kAllZero);
-  traced.n_traced = trace_at.size();
+      std::min(options.max_traced_patterns,
+               CriticalPathTracer::kBlockPatterns));
+  std::vector<std::uint32_t> block;
+  for (std::size_t i : trace_at) block.push_back(obs.failing_patterns()[i]);
+  cpt.commit(patterns, block);
 
   // Victim support per net: on which traced patterns was the stem critical
   // (its flip explains at least one failing output)?
@@ -64,19 +53,17 @@ CandidatePool extract_candidates(const Netlist& netlist,
 
   for (std::size_t k = 0; k < trace_at.size(); ++k) {
     const std::size_t i = trace_at[k];
-    const std::uint32_t p = obs.failing_patterns()[i];
-    sim.apply(patterns, p);
-    for (NetId n = 0; n < netlist.n_nets(); ++n)
-      if (sim.value(n)) traced.bits[n] |= Word{1} << k;
+    const std::uint32_t p = block[k];
     for (std::uint32_t po : obs.failing_outputs(i)) {
       // The critical set of (pattern, output) is datalog-independent, so a
-      // session-level store can replace the trace with a lookup.
+      // session-level store can replace the trace with a lookup (and the
+      // tracer flips stems lazily, so a hit costs no flip).
       std::shared_ptr<const std::vector<Fault>> crit;
       if (options.trace_store != nullptr)
         crit = options.trace_store->lookup(p, po);
       if (crit == nullptr) {
         crit = std::make_shared<const std::vector<Fault>>(
-            cpt.critical_faults(sim, po));
+            cpt.critical_faults(k, po));
         if (options.trace_store != nullptr)
           options.trace_store->store(p, po, crit);
       }
@@ -111,13 +98,14 @@ CandidatePool extract_candidates(const Netlist& netlist,
   // implicated. Those behaviour-consistent partners (nearest by net id as a
   // layout proxy) become candidates.
   if (options.include_bridges) {
+    FeedbackChecker is_feedback(netlist);
     std::vector<std::pair<NetId, std::uint32_t>> stems;
     for (const auto& [f, s] : support)
       if (f.is_stuck_at() && f.pin == kStemPin) stems.emplace_back(f.net, s);
     for (const auto& [victim, s] : stems) {
       const Word active = victim_on[victim];
       if (active == kAllZero) continue;
-      const Word victim_vals = traced.bits[victim];
+      const Word victim_vals = cpt.good(victim);
       const int n_active = std::popcount(active);
 
       // Two consistency tiers, scanned in id-proximity order over the
@@ -128,6 +116,7 @@ CandidatePool extract_candidates(const Netlist& netlist,
       //            victim's active set by other defects' failures).
       // Tier-1 partners get the cap to themselves first, so near-victim
       // majority-consistent noise cannot crowd out the true aggressor.
+      // The majority count is only taken while tier 2 has room.
       std::vector<NetId> tier1, tier2;
       for (std::uint32_t delta = 1;
            delta < netlist.n_nets() && tier1.size() < options.bridge_partners;
@@ -138,12 +127,11 @@ CandidatePool extract_candidates(const Netlist& netlist,
           if (cand < 0 || cand >= static_cast<std::int64_t>(netlist.n_nets()))
             continue;
           const NetId a = static_cast<NetId>(cand);
-          const int n_opposite =
-              std::popcount((traced.bits[a] ^ victim_vals) & active);
-          if (n_opposite == n_active) {
+          const Word opposite = (cpt.good(a) ^ victim_vals) & active;
+          if (opposite == active) {
             tier1.push_back(a);
-          } else if (2 * n_opposite >= n_active + 1 &&
-                     tier2.size() < options.bridge_partners) {
+          } else if (tier2.size() < options.bridge_partners &&
+                     2 * std::popcount(opposite) >= n_active + 1) {
             tier2.push_back(a);
           }
         }
@@ -152,7 +140,7 @@ CandidatePool extract_candidates(const Netlist& netlist,
       for (const std::vector<NetId>& tier : {tier1, tier2}) {
         for (NetId a : tier) {
           if (added >= options.bridge_partners) break;
-          if (is_feedback_pair(netlist, victim, a)) continue;
+          if (is_feedback(victim, a)) continue;
           const Fault br = Fault::bridge_dom(victim, a);
           if (support.emplace(br, s).second) ++added;
         }
@@ -194,28 +182,39 @@ CandidatePool extract_tdf_candidates(const Netlist& netlist,
                                      const Datalog& datalog,
                                      const CandidateOptions& options) {
   std::unordered_map<Fault, std::uint32_t, FaultHash> support;
-  EventSim sim_capture(netlist);
-  EventSim sim_launch(netlist);
-  CriticalPathTracer cpt(netlist);
+  CriticalPathTracer cpt(netlist);  // capture frame
+  BlockSim launch_sim(netlist, scalar_kernel());
 
+  // Traced capture patterns go through the tracer in blocks of 64; the
+  // launch frame of the same block is one more good simulation.
   const ErrorSignature& obs = datalog.observed;
-  for (std::size_t i : spread_indices(obs.n_failing_patterns(),
-                                      options.max_traced_patterns)) {
-    const std::uint32_t p = obs.failing_patterns()[i];
-    sim_capture.apply(capture, p);
-    sim_launch.apply(launch, p);
-    for (std::uint32_t po : obs.failing_outputs(i)) {
-      for (const Fault& f : cpt.critical_faults(sim_capture, po)) {
-        ++support[f];
-        if (f.pin != kStemPin) continue;
-        // A critical stem held at its launch value explains the flip iff
-        // the launch value is the complement of the good capture value —
-        // i.e. the stem moved in the direction the transition fault slows.
-        const bool v2 = sim_capture.value(f.net);
-        const bool v1 = sim_launch.value(f.net);
-        if (v1 != v2) {
-          ++support[v2 ? Fault::slow_to_rise(f.net)
-                       : Fault::slow_to_fall(f.net)];
+  const std::vector<std::size_t> trace_at =
+      spread_indices(obs.n_failing_patterns(), options.max_traced_patterns);
+  std::vector<std::uint32_t> block;
+  for (std::size_t b = 0; b < trace_at.size();
+       b += CriticalPathTracer::kBlockPatterns) {
+    const std::size_t e =
+        std::min(trace_at.size(), b + CriticalPathTracer::kBlockPatterns);
+    block.clear();
+    for (std::size_t k = b; k < e; ++k)
+      block.push_back(obs.failing_patterns()[trace_at[k]]);
+    cpt.commit(capture, block);
+    launch_sim.run(launch.gather(block));
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      for (std::uint32_t po : obs.failing_outputs(trace_at[b + k])) {
+        for (const Fault& f : cpt.critical_faults(k, po)) {
+          ++support[f];
+          if (f.pin != kStemPin) continue;
+          // A critical stem held at its launch value explains the flip iff
+          // the launch value is the complement of the good capture value —
+          // i.e. the stem moved in the direction the transition fault
+          // slows.
+          const bool v2 = (cpt.good(f.net) >> k) & 1u;
+          const bool v1 = (launch_sim.value(f.net) >> k) & 1u;
+          if (v1 != v2) {
+            ++support[v2 ? Fault::slow_to_rise(f.net)
+                         : Fault::slow_to_fall(f.net)];
+          }
         }
       }
     }

@@ -1,11 +1,12 @@
 // openmdd — initial candidate extraction.
 //
-// Builds the candidate fault pool the diagnosers score. Per failing
-// pattern, the good machine is simulated and every failing output is
-// back-traced with critical path tracing; the union over all failing
-// (pattern, output) pairs is kept (union, not intersection — with multiple
-// defects different patterns expose different sites, so intersecting would
-// assume exactly the failing-pattern property this library avoids).
+// Builds the candidate fault pool the diagnosers score. The traced failing
+// patterns are simulated 64 at a time (one block per tracer commit) and
+// every failing output is back-traced with critical path tracing; the
+// union over all failing (pattern, output) pairs is kept (union, not
+// intersection — with multiple defects different patterns expose
+// different sites, so intersecting would assume exactly the
+// failing-pattern property this library avoids).
 //
 // Bridge candidates are instantiated on top: for each suspect stem, nearby
 // non-feedback partner nets give dominant-bridge candidates with the

@@ -86,26 +86,37 @@ std::vector<Fault> all_transition_faults(const Netlist& nl) {
   return faults;
 }
 
-bool is_feedback_pair(const Netlist& nl, NetId a, NetId b) {
-  // BFS from the lower-level net only (the other direction cannot reach
-  // backwards in a DAG).
+FeedbackChecker::FeedbackChecker(const Netlist& netlist)
+    : netlist_(&netlist), seen_(netlist.n_nets(), 0) {}
+
+bool FeedbackChecker::operator()(NetId a, NetId b) {
+  const Netlist& nl = *netlist_;
+  if (++stamp_ == 0) {  // wrapped: forget every old mark
+    std::fill(seen_.begin(), seen_.end(), 0);
+    stamp_ = 1;
+  }
+  // Search from the lower-level net only (the other direction cannot
+  // reach backwards in a DAG).
   const NetId from = nl.level(a) <= nl.level(b) ? a : b;
   const NetId to = (from == a) ? b : a;
-  std::vector<bool> seen(nl.n_nets(), false);
-  std::vector<NetId> stack{from};
-  seen[from] = true;
-  while (!stack.empty()) {
-    const NetId g = stack.back();
-    stack.pop_back();
+  stack_.assign(1, from);
+  seen_[from] = stamp_;
+  while (!stack_.empty()) {
+    const NetId g = stack_.back();
+    stack_.pop_back();
     if (g == to) return true;
     for (NetId s : nl.fanouts(g)) {
-      if (!seen[s] && nl.level(s) <= nl.level(to)) {
-        seen[s] = true;
-        stack.push_back(s);
+      if (seen_[s] != stamp_ && nl.level(s) <= nl.level(to)) {
+        seen_[s] = stamp_;
+        stack_.push_back(s);
       }
     }
   }
   return false;
+}
+
+bool is_feedback_pair(const Netlist& nl, NetId a, NetId b) {
+  return FeedbackChecker(nl)(a, b);
 }
 
 std::vector<Fault> sample_bridge_faults(const Netlist& nl,
@@ -115,6 +126,7 @@ std::vector<Fault> sample_bridge_faults(const Netlist& nl,
       0, static_cast<NetId>(nl.n_nets() - 1));
   std::vector<Fault> faults;
   std::unordered_set<std::uint64_t> seen_pairs;
+  FeedbackChecker is_feedback(nl);
   std::size_t accepted = 0;
   // Bounded rejection sampling: a tiny or bridge-hostile netlist must not
   // hang the generator.
@@ -128,7 +140,7 @@ std::vector<Fault> sample_bridge_faults(const Netlist& nl,
         nl.level(lo) > nl.level(hi) ? nl.level(lo) - nl.level(hi)
                                     : nl.level(hi) - nl.level(lo);
     if (gap > cfg.max_level_gap) continue;
-    if (is_feedback_pair(nl, lo, hi)) continue;
+    if (is_feedback(lo, hi)) continue;
     const std::uint64_t key = (std::uint64_t{lo} << 32) | hi;
     if (!seen_pairs.insert(key).second) continue;
     faults.push_back(Fault::bridge_dom(lo, hi));

@@ -109,8 +109,25 @@ std::vector<Fault> all_stuck_at_faults(const Netlist& netlist);
 std::vector<Fault> all_transition_faults(const Netlist& netlist);
 
 /// True if dominating/bridging `a` and `b` would create a feedback loop
-/// (one net lies in the other's fan-out cone).
+/// (one net lies in the other's fan-out cone). One-off form of
+/// FeedbackChecker.
 bool is_feedback_pair(const Netlist& netlist, NetId a, NetId b);
+
+/// is_feedback_pair for many queries on one netlist: a level-pruned
+/// search from the lower-level net, whose per-net marks are stamped per
+/// query instead of allocated and cleared each time.
+class FeedbackChecker {
+ public:
+  explicit FeedbackChecker(const Netlist& netlist);
+
+  bool operator()(NetId a, NetId b);
+
+ private:
+  const Netlist* netlist_;
+  std::vector<std::uint32_t> seen_;  // net was reached in query `stamp_`
+  std::uint32_t stamp_ = 0;
+  std::vector<NetId> stack_;
+};
 
 struct BridgeUniverseConfig {
   std::size_t count = 64;         ///< pairs to sample

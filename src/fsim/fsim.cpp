@@ -44,9 +44,9 @@ ErrorSignature ErrorSignature::diff(const PatternSet& good,
 }
 
 std::size_t ErrorSignature::n_error_bits() const {
-  std::size_t n = 0;
-  for (Word w : masks_) n += static_cast<std::size_t>(std::popcount(w));
-  return n;
+  // Through the kernel: the base build's std::popcount is a library
+  // call per word, the SIMD kernels' is the hardware instruction.
+  return current_kernel().popcount(masks_.data(), masks_.size());
 }
 
 std::span<const Word> ErrorSignature::mask(std::size_t i) const {

@@ -1,7 +1,6 @@
 #include "sim/event_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <stdexcept>
 
@@ -23,11 +22,9 @@ void EventSim::apply(const PatternSet& stimuli, std::size_t p) {
 }
 
 void EventSim::apply(const std::vector<bool>& pi_values) {
-  static std::atomic<std::uint64_t> next_epoch{1};
   const auto& inputs = netlist_->inputs();
   if (pi_values.size() != inputs.size())
     throw std::invalid_argument("EventSim::apply: PI count mismatch");
-  epoch_ = next_epoch.fetch_add(1);
   for (std::size_t i = 0; i < inputs.size(); ++i)
     values_[inputs[i]] = pi_values[i];
   std::vector<bool> ins;

@@ -2,9 +2,10 @@
 //
 // Holds one committed good-machine state and answers "what changes if this
 // net flips?" by levelized event propagation on a scratch overlay, leaving
-// the committed state untouched. This is the exact-observability primitive
-// behind critical path tracing stem analysis; it is also used by the serial
-// fault simulator for spot checks.
+// the committed state untouched. One pattern, one bool per net: it is the
+// plain reference the word-parallel engines are tested against (critical
+// path tracing's 64-slot stem flips, brute-force criticality); no
+// production path uses it.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +29,6 @@ class EventSim {
   /// Committed good value of net `n`.
   bool value(NetId n) const { return values_[n]; }
 
-  /// Identifies the committed state: every apply() draws a new value,
-  /// unique across all EventSim instances of the process, so a cache of
-  /// flip results keyed by it can never outlive the pattern it was
-  /// computed under (0 before the first apply).
-  std::uint64_t epoch() const { return epoch_; }
-
   /// Flips net `n` (as if a fault forced the opposite value) and
   /// propagates events forward. Returns the PO indices whose value
   /// changed. The committed state is restored before returning.
@@ -54,7 +49,6 @@ class EventSim {
   std::vector<NetId> touched_list_;  // for O(changed) cleanup
   std::vector<std::vector<NetId>> level_queue_;
   std::vector<bool> queued_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace mdd

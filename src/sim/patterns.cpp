@@ -32,6 +32,21 @@ std::vector<bool> PatternSet::pattern(std::size_t p) const {
   return out;
 }
 
+std::vector<Word> PatternSet::gather(
+    std::span<const std::uint32_t> patterns) const {
+  if (patterns.size() > 64)
+    throw std::invalid_argument("PatternSet::gather: more than 64 patterns");
+  std::vector<Word> out(n_signals_, kAllZero);
+  for (std::size_t slot = 0; slot < patterns.size(); ++slot) {
+    const std::uint32_t p = patterns[slot];
+    if (p >= n_patterns_)
+      throw std::out_of_range("PatternSet::gather: pattern out of range");
+    for (std::size_t s = 0; s < n_signals_; ++s)
+      out[s] |= ((word(p / 64, s) >> (p % 64)) & 1u) << slot;
+  }
+  return out;
+}
+
 void PatternSet::append(const std::vector<bool>& values) {
   if (values.size() != n_signals_)
     throw std::invalid_argument("PatternSet::append: width mismatch");

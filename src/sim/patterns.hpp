@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,11 @@ class PatternSet {
 
   /// All signal values of one pattern.
   std::vector<bool> pattern(std::size_t p) const;
+
+  /// Packs pattern `patterns[s]` into bit s of one word per signal (at
+  /// most 64 patterns; higher bits zero) — the explicit-PI-word form
+  /// BlockSim::run takes.
+  std::vector<Word> gather(std::span<const std::uint32_t> patterns) const;
 
   /// Appends one pattern (values.size() == n_signals). Grows blocks as
   /// needed.

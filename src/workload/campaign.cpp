@@ -13,6 +13,7 @@ NetId pick_bridge_partner(const Netlist& nl, NetId victim,
                           std::mt19937_64& rng) {
   std::uniform_int_distribution<NetId> pick(
       0, static_cast<NetId>(nl.n_nets() - 1));
+  FeedbackChecker is_feedback(nl);
   for (int tries = 0; tries < 50; ++tries) {
     const NetId p = pick(rng);
     if (p == victim) continue;
@@ -20,7 +21,7 @@ NetId pick_bridge_partner(const Netlist& nl, NetId victim,
                                   ? nl.level(p) - nl.level(victim)
                                   : nl.level(victim) - nl.level(p);
     if (gap > 4) continue;
-    if (is_feedback_pair(nl, victim, p)) continue;
+    if (is_feedback(victim, p)) continue;
     return p;
   }
   return kNoNet;

@@ -1,12 +1,16 @@
 // Unit tests: critical path tracing.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
+#include <set>
 #include <string>
 
 #include "fault/inject.hpp"
 #include "fsim/cpt.hpp"
 #include "netlist/generator.hpp"
+#include "obs/metrics.hpp"
+#include "sim/event_sim.hpp"
 #include "sim/sim2.hpp"
 
 namespace mdd {
@@ -22,6 +26,17 @@ bool brute_critical(const Netlist& nl, const PatternSet& stimuli,
   return std::binary_search(observed.begin(), observed.end(), po);
 }
 
+/// Patterns [first, first + count) as one block's pattern list.
+std::vector<std::uint32_t> range(std::uint32_t first, std::size_t count) {
+  std::vector<std::uint32_t> out(count);
+  std::iota(out.begin(), out.end(), first);
+  return out;
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::registry().counter(name).value();
+}
+
 /// Soundness: every net CPT reports critical really flips the PO.
 TEST(CPT, SoundnessOnRandomCircuits) {
   for (std::uint64_t seed : {61ull, 62ull}) {
@@ -32,12 +47,11 @@ TEST(CPT, SoundnessOnRandomCircuits) {
     cfg.seed = seed;
     const Netlist nl = make_random_circuit(cfg);
     const PatternSet stimuli = PatternSet::random(16, nl.n_inputs(), seed);
-    EventSim sim(nl);
     CriticalPathTracer cpt(nl);
+    cpt.commit(stimuli, range(0, stimuli.n_patterns()));
     for (std::size_t p = 0; p < stimuli.n_patterns(); ++p) {
-      sim.apply(stimuli, p);
       for (std::uint32_t po = 0; po < nl.n_outputs(); ++po) {
-        for (NetId n : cpt.critical_nets(sim, po)) {
+        for (NetId n : cpt.critical_nets(p, po)) {
           ASSERT_TRUE(brute_critical(nl, stimuli, p, n, po))
               << "seed " << seed << " p " << p << " po " << po << " net "
               << nl.net_name(n);
@@ -53,11 +67,10 @@ TEST(CPT, SoundnessOnRandomCircuits) {
 TEST(CPT, CompleteOnFanoutFreeTree) {
   const Netlist nl = make_parity_tree(32);
   const PatternSet stimuli = PatternSet::random(8, nl.n_inputs(), 9);
-  EventSim sim(nl);
   CriticalPathTracer cpt(nl);
+  cpt.commit(stimuli, range(0, 8));
   for (std::size_t p = 0; p < 8; ++p) {
-    sim.apply(stimuli, p);
-    const auto critical = cpt.critical_nets(sim, 0);
+    const auto critical = cpt.critical_nets(p, 0);
     // XOR tree: every net is critical on every pattern.
     EXPECT_EQ(critical.size(), nl.n_nets());
   }
@@ -76,11 +89,10 @@ TEST(CPT, CompleteOnAndChain) {
   nl.mark_output(g3);
   nl.finalize();
   const PatternSet stimuli = PatternSet::exhaustive(4);
-  EventSim sim(nl);
   CriticalPathTracer cpt(nl);
+  cpt.commit(stimuli, range(0, 16));
   for (std::size_t p = 0; p < 16; ++p) {
-    sim.apply(stimuli, p);
-    const auto critical = cpt.critical_nets(sim, 0);
+    const auto critical = cpt.critical_nets(p, 0);
     for (NetId n = 0; n < nl.n_nets(); ++n) {
       const bool expected = brute_critical(nl, stimuli, p, n, 0);
       const bool got =
@@ -98,13 +110,12 @@ TEST(CPT, CompleteOnAndChain) {
 TEST(CPT, C17SubsetOfBruteForce) {
   const Netlist nl = make_c17();
   const PatternSet stimuli = PatternSet::exhaustive(5);
-  EventSim sim(nl);
   CriticalPathTracer cpt(nl);
+  cpt.commit(stimuli, range(0, 32));
   std::size_t cpt_total = 0, brute_total = 0;
   for (std::size_t p = 0; p < 32; ++p) {
-    sim.apply(stimuli, p);
     for (std::uint32_t po = 0; po < 2; ++po) {
-      const auto critical = cpt.critical_nets(sim, po);
+      const auto critical = cpt.critical_nets(p, po);
       cpt_total += critical.size();
       for (NetId n = 0; n < nl.n_nets(); ++n) {
         const bool brute = brute_critical(nl, stimuli, p, n, po);
@@ -133,13 +144,12 @@ TEST(CPT, CriticalFaultsExplainTheFailure) {
   const Netlist nl = make_random_circuit(cfg);
   const PatternSet stimuli = PatternSet::random(6, nl.n_inputs(), 1);
   const PatternSet good = simulate(nl, stimuli);
-  EventSim sim(nl);
   CriticalPathTracer cpt(nl);
+  cpt.commit(stimuli, range(0, stimuli.n_patterns()));
   FaultyMachine fm(nl);
   for (std::size_t p = 0; p < stimuli.n_patterns(); ++p) {
-    sim.apply(stimuli, p);
     for (std::uint32_t po = 0; po < nl.n_outputs(); ++po) {
-      for (const Fault& f : cpt.critical_faults(sim, po)) {
+      for (const Fault& f : cpt.critical_faults(p, po)) {
         fm.set_faults({&f, 1});
         fm.run(stimuli, p / 64);
         const Word diff =
@@ -153,71 +163,153 @@ TEST(CPT, CriticalFaultsExplainTheFailure) {
   }
 }
 
-/// The per-pattern stem-flip memo: one long-lived tracer (memo warm across
-/// every PO of a pattern, invalidated by each apply) must report exactly
-/// what a fresh tracer does for every (pattern, PO), on circuits whose
-/// fanout stems reconverge — the case the flip analysis exists for.
-TEST(CPT, MemoizedTracerMatchesFreshTracerEverywhere) {
-  for (const std::string name : {"g200", "c17"}) {
-    SCOPED_TRACE(name);
-    const Netlist nl = make_named_circuit(name);
+/// Circuits with reconvergent fanout stems — the case the stem flips
+/// exist for.
+std::vector<Netlist> reconvergent_circuits() {
+  std::vector<Netlist> out;
+  out.push_back(make_c17());
+  out.push_back(make_named_circuit("g200"));
+  for (std::uint64_t seed : {5ull, 6ull}) {
+    RandomCircuitConfig cfg;
+    cfg.n_inputs = 12;
+    cfg.n_gates = 150;
+    cfg.n_outputs = 8;
+    cfg.locality = 24;
+    cfg.seed = seed;
+    out.push_back(make_random_circuit(cfg));
+  }
+  return out;
+}
+
+/// Slot independence: blocks of 1, 7, 63 and 64 patterns answer every
+/// (slot, PO) exactly as a one-pattern block of that pattern does.
+/// Alternate blocks walk slots and POs backwards, so the block's flip
+/// memo is filled in a different order than the one-pattern tracer's.
+TEST(CPT, BlocksMatchOnePatternBlocksEverywhere) {
+  for (const Netlist& nl : reconvergent_circuits()) {
+    SCOPED_TRACE(nl.name());
     std::size_t stems = 0;
     for (NetId n = 0; n < nl.n_nets(); ++n) stems += nl.fanouts(n).size() > 1;
     ASSERT_GT(stems, 0u) << "circuit needs reconvergent fanout stems";
-    const PatternSet stimuli = PatternSet::random(24, nl.n_inputs(), 0xC97);
-    EventSim sim(nl);
-    CriticalPathTracer memo(nl);
-    for (std::size_t p = 0; p < stimuli.n_patterns(); ++p) {
-      sim.apply(stimuli, p);
-      // Odd patterns walk the POs backwards, so the memo is filled in a
-      // different order than the fresh tracers see.
-      for (std::uint32_t k = 0; k < nl.n_outputs(); ++k) {
-        const std::uint32_t po =
-            p % 2 == 0 ? k : static_cast<std::uint32_t>(nl.n_outputs() - 1 - k);
-        CriticalPathTracer fresh(nl);
-        ASSERT_EQ(memo.critical_faults(sim, po), fresh.critical_faults(sim, po))
-            << "p=" << p << " po=" << po;
-        ASSERT_EQ(memo.critical_nets(sim, po),
-                  CriticalPathTracer(nl).critical_nets(sim, po))
-            << "p=" << p << " po=" << po;
+    const PatternSet stimuli =
+        PatternSet::random(1 + 7 + 63 + 64, nl.n_inputs(), 0xC97);
+    CriticalPathTracer block(nl), one(nl);
+    std::uint32_t first = 0;
+    bool backwards = false;
+    for (std::size_t size : {1u, 7u, 63u, 64u}) {
+      block.commit(stimuli, range(first, size));
+      ASSERT_EQ(block.n_slots(), size);
+      for (std::size_t k = 0; k < size; ++k) {
+        const std::size_t slot = backwards ? size - 1 - k : k;
+        const std::uint32_t p = first + static_cast<std::uint32_t>(slot);
+        one.commit(stimuli, range(p, 1));
+        for (NetId n = 0; n < nl.n_nets(); ++n)
+          ASSERT_EQ((block.good(n) >> slot) & 1u, one.good(n));
+        for (std::uint32_t j = 0; j < nl.n_outputs(); ++j) {
+          const std::uint32_t po =
+              backwards ? static_cast<std::uint32_t>(nl.n_outputs() - 1 - j)
+                        : j;
+          ASSERT_EQ(block.critical_faults(slot, po),
+                    one.critical_faults(0, po))
+              << "block " << size << " slot " << slot << " po " << po;
+          ASSERT_EQ(block.critical_nets(slot, po), one.critical_nets(0, po))
+              << "block " << size << " slot " << slot << " po " << po;
+        }
       }
+      first += static_cast<std::uint32_t>(size);
+      backwards = !backwards;
     }
   }
 }
 
-/// The memo is keyed by the simulator's committed state, not by the
-/// simulator object: alternating two simulators (or re-applying a pattern)
-/// through one tracer must never serve a stale flip.
-TEST(CPT, MemoInvalidatedByEveryApply) {
+/// The flip memo belongs to one commit of one tracer: re-committing (even
+/// the same patterns in other slots, or the very same block) and
+/// alternating two tracers must never serve a stale flip.
+TEST(CPT, RecommitNeverServesStaleFlips) {
   const Netlist nl = make_named_circuit("g200");
   const PatternSet stimuli = PatternSet::random(12, nl.n_inputs(), 0xE90);
-  EventSim a(nl), b(nl);
-  CriticalPathTracer memo(nl);
-  for (std::size_t p = 0; p + 1 < stimuli.n_patterns(); ++p) {
-    a.apply(stimuli, p);
-    b.apply(stimuli, p + 1);
-    const std::uint64_t epoch = a.epoch();
+  auto fresh = [&](std::uint32_t p, std::uint32_t po) {
+    CriticalPathTracer t(nl);
+    t.commit(stimuli, range(p, 1));
+    return t.critical_faults(0, po);
+  };
+  CriticalPathTracer a(nl), b(nl);
+  for (std::uint32_t p = 0; p + 1 < stimuli.n_patterns(); ++p) {
+    const std::vector<std::uint32_t> pair = {p, p + 1};
+    const std::vector<std::uint32_t> swapped = {p + 1, p};
+    a.commit(stimuli, pair);
+    b.commit(stimuli, range(p + 1, 1));
     for (std::uint32_t po = 0; po < nl.n_outputs(); ++po) {
-      EXPECT_EQ(memo.critical_faults(a, po),
-                CriticalPathTracer(nl).critical_faults(a, po));
-      EXPECT_EQ(memo.critical_faults(b, po),
-                CriticalPathTracer(nl).critical_faults(b, po));
+      EXPECT_EQ(a.critical_faults(0, po), fresh(p, po));
+      EXPECT_EQ(b.critical_faults(0, po), fresh(p + 1, po));
+      EXPECT_EQ(a.critical_faults(1, po), fresh(p + 1, po));
     }
-    a.apply(stimuli, p);  // same pattern again: a new epoch all the same
-    EXPECT_NE(a.epoch(), epoch);
-    EXPECT_NE(a.epoch(), b.epoch());
-    EXPECT_EQ(memo.critical_faults(a, 0),
-              CriticalPathTracer(nl).critical_faults(a, 0));
+    // Same patterns, other slots: every memoized slot word is now wrong.
+    a.commit(stimuli, swapped);
+    for (std::uint32_t po = 0; po < nl.n_outputs(); ++po) {
+      EXPECT_EQ(a.critical_faults(0, po), fresh(p + 1, po));
+      EXPECT_EQ(a.critical_faults(1, po), fresh(p, po));
+    }
+    // Same block again: a fresh memo all the same.
+    a.commit(stimuli, swapped);
+    EXPECT_EQ(a.critical_faults(1, 0), fresh(p, 0));
   }
+}
+
+/// One block flips each fanout stem its traces analyse exactly once, and
+/// a trace's stem analyses are exactly the sources of the branch faults
+/// it reports — so the counter equals the distinct branch sources.
+TEST(CPT, StemFlipsCountDistinctAnalysedStems) {
+  const Netlist nl = make_named_circuit("g200");
+  const PatternSet stimuli = PatternSet::random(40, nl.n_inputs(), 0x5F);
+  CriticalPathTracer cpt(nl);
+  cpt.commit(stimuli, range(0, 40));
+  const std::uint64_t flips = counter("cpt.stem_flips");
+  const std::uint64_t traces = counter("cpt.traces");
+  std::set<NetId> analysed;
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass hits the memo
+    for (std::size_t slot = 0; slot < 40; ++slot) {
+      for (std::uint32_t po = 0; po < nl.n_outputs(); ++po) {
+        for (const Fault& f : cpt.critical_faults(slot, po))
+          if (f.pin != kStemPin) analysed.insert(nl.fanins(f.net)[f.pin]);
+      }
+    }
+  }
+  ASSERT_FALSE(analysed.empty());
+  EXPECT_EQ(counter("cpt.stem_flips") - flips, analysed.size());
+  EXPECT_EQ(counter("cpt.traces") - traces, 2 * 40 * nl.n_outputs());
+  // Both show in the exposition op=stats and /metrics serve.
+  const std::string text = obs::render_prometheus(obs::registry().snapshot());
+  EXPECT_NE(text.find("cpt_traces "), std::string::npos);
+  EXPECT_NE(text.find("cpt_stem_flips "), std::string::npos);
+  // A new commit flips afresh.
+  cpt.commit(stimuli, range(0, 40));
+  const std::uint64_t before = counter("cpt.stem_flips");
+  for (std::uint32_t po = 0; po < nl.n_outputs(); ++po)
+    cpt.critical_faults(0, po);
+  EXPECT_GT(counter("cpt.stem_flips"), before);
+}
+
+TEST(CPT, RejectsOversizedBlocksAndUncommittedSlots) {
+  const Netlist nl = make_c17();
+  const PatternSet stimuli = PatternSet::exhaustive(5);
+  CriticalPathTracer cpt(nl);
+  EXPECT_THROW(cpt.critical_nets(0, 0), std::out_of_range);
+  const std::vector<std::uint32_t> too_many(65, 0);
+  EXPECT_THROW(cpt.commit(stimuli, too_many), std::invalid_argument);
+  cpt.commit(stimuli, range(0, 3));
+  EXPECT_NO_THROW(cpt.critical_nets(2, 1));
+  EXPECT_THROW(cpt.critical_nets(3, 0), std::out_of_range);
+  EXPECT_THROW(cpt.commit(PatternSet::exhaustive(4), range(0, 1)),
+               std::invalid_argument);
 }
 
 TEST(CPT, TraceIncludesTheOutputItself) {
   const Netlist nl = make_c17();
   PatternSet stimuli(1, 5);
-  EventSim sim(nl);
-  sim.apply(stimuli, 0);
   CriticalPathTracer cpt(nl);
-  const auto critical = cpt.critical_nets(sim, 0);
+  cpt.commit(stimuli, range(0, 1));
+  const auto critical = cpt.critical_nets(0, 0);
   EXPECT_TRUE(std::binary_search(critical.begin(), critical.end(),
                                  nl.outputs()[0]));
 }

@@ -47,9 +47,22 @@ TEST(Propagator, FeedbackBridgeFallsBackExactly) {
   const PatternSet patterns = PatternSet::exhaustive(5);
   FaultSimulator reference(nl, patterns);
   SingleFaultPropagator prop(nl, patterns);
-  // 11 feeds 16: a feedback pair.
-  const Fault f = Fault::bridge_dom(nl.find_net("16"), nl.find_net("11"));
-  EXPECT_EQ(prop.signature(f), reference.signature(f));
+  obs::Counter& fallbacks = obs::registry().counter("propagate.fallbacks");
+  // 11 feeds 16, so the pair is a feedback pair either way round. With
+  // victim 16 the aggressor 11 is upstream and cannot see the fault: the
+  // single-site path answers it.
+  const Fault upstream =
+      Fault::bridge_dom(nl.find_net("16"), nl.find_net("11"));
+  std::uint64_t before = fallbacks.value();
+  EXPECT_EQ(prop.signature(upstream), reference.signature(upstream));
+  EXPECT_EQ(fallbacks.value(), before);
+  // With victim 11 the aggressor 16 lies in the victim's fan-out cone:
+  // the exact fixpoint machine must answer it.
+  const Fault loop = Fault::bridge_dom(nl.find_net("11"), nl.find_net("16"));
+  ASSERT_TRUE(is_feedback_pair(nl, loop.net, loop.bridge_net));
+  before = fallbacks.value();
+  EXPECT_EQ(prop.signature(loop), reference.signature(loop));
+  EXPECT_GT(fallbacks.value(), before);
 }
 
 TEST(Propagator, MatchesPairMachineForTransitions) {

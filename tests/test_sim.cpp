@@ -67,6 +67,24 @@ TEST(PatternSet, RandomDeterministicAndMasked) {
     EXPECT_EQ(a.word(1, s) & ~a.valid_mask(1), kAllZero);
 }
 
+/// gather packs any pattern list (out of order, repeated, across blocks)
+/// into one word per signal, slot s holding patterns[s].
+TEST(PatternSet, GatherPacksPatternsIntoSlots) {
+  const PatternSet ps = PatternSet::random(200, 7, 3);
+  const std::vector<std::uint32_t> picks = {199, 0, 64, 63, 130, 130, 5};
+  const std::vector<Word> words = ps.gather(picks);
+  ASSERT_EQ(words.size(), 7u);
+  for (std::size_t s = 0; s < 7; ++s) {
+    for (std::size_t k = 0; k < picks.size(); ++k)
+      EXPECT_EQ(((words[s] >> k) & 1u) != 0, ps.get(picks[k], s));
+    EXPECT_EQ(words[s] >> picks.size(), kAllZero);
+  }
+  EXPECT_THROW(ps.gather(std::vector<std::uint32_t>(65, 0)),
+               std::invalid_argument);
+  const std::vector<std::uint32_t> past_end = {200};
+  EXPECT_THROW(ps.gather(past_end), std::out_of_range);
+}
+
 TEST(BlockSim, C17KnownVector) {
   const Netlist nl = make_c17();
   // Pattern 01110 (1=0,2=1,3=1,6=1,7=0):
