@@ -50,7 +50,8 @@ struct CandidateOptions {
   /// stuck-at candidates survive ties against bridges).
   std::size_t max_candidates = 6000;
   /// Failing patterns traced (all if larger; tracing is cheap but bounded
-  /// for pathological logs).
+  /// for pathological logs). Static extraction traces one tracer block,
+  /// so it clamps this to 64 patterns; pair mode honours larger values.
   std::size_t max_traced_patterns = 64;
   /// Add stem stuck-at candidates for the whole fan-in cone of the failing
   /// outputs when CPT support is thin (< this many candidates).

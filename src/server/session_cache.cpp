@@ -311,30 +311,15 @@ MemoLayerStats SessionCache::layer_stats() const {
     if (session == nullptr) continue;  // still loading
     if (session->memo) {
       const SignatureMemoStats s = session->memo->stats();
-      out.signature.hits += s.hits;
-      out.signature.misses += s.misses;
-      out.signature.evictions += s.evictions;
-      out.signature.entries += s.entries;
-      out.signature.approx_bytes += s.approx_bytes;
+      out.signature += s;
       out.signature.store_hits += s.store_hits;
       out.signature.store_misses += s.store_misses;
       out.signature.window_restricts += s.window_restricts;
     }
-    if (session->traces) {
-      const TraceMemoStats s = session->traces->stats();
-      out.traces.hits += s.hits;
-      out.traces.misses += s.misses;
-      out.traces.evictions += s.evictions;
-      out.traces.entries += s.entries;
-      out.traces.approx_bytes += s.approx_bytes;
-    }
+    if (session->traces) out.traces += session->traces->stats();
     if (session->composites) {
       const CompositeMemoStats s = session->composites->stats();
-      out.composites.hits += s.hits;
-      out.composites.misses += s.misses;
-      out.composites.evictions += s.evictions;
-      out.composites.entries += s.entries;
-      out.composites.approx_bytes += s.approx_bytes;
+      out.composites += s;
       out.composites.spill_hits += s.spill_hits;
       out.composites.spill_misses += s.spill_misses;
     }

@@ -21,15 +21,15 @@ TraceMemoMetrics& trace_memo_metrics() {
 std::shared_ptr<const std::vector<Fault>> TraceMemo::lookup(
     std::uint32_t pattern, std::uint32_t po) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key(pattern, po));
-  if (it == entries_.end()) {
+  auto faults = cache_.find(key(pattern, po));
+  if (faults == nullptr) {
     ++misses_;
     trace_memo_metrics().misses.inc();
     return nullptr;
   }
   ++hits_;
   trace_memo_metrics().hits.inc();
-  return it->second;
+  return faults;
 }
 
 void TraceMemo::store(std::uint32_t pattern, std::uint32_t po,
@@ -37,19 +37,12 @@ void TraceMemo::store(std::uint32_t pattern, std::uint32_t po,
   const std::size_t cost =
       sizeof(std::vector<Fault>) + faults->size() * sizeof(Fault) + 64;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (bytes_ + cost > max_bytes_) return;
-  auto [it, inserted] = entries_.emplace(key(pattern, po), std::move(faults));
-  if (inserted) bytes_ += cost;
+  cache_.admit(key(pattern, po), std::move(faults), cost);
 }
 
-TraceMemoStats TraceMemo::stats() const {
+MemoStats TraceMemo::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  TraceMemoStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.entries = entries_.size();
-  s.approx_bytes = bytes_;
-  return s;
+  return cache_.stats(hits_, misses_);
 }
 
 }  // namespace mdd::server

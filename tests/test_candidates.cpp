@@ -248,6 +248,18 @@ TEST(CandidatesGolden, StaticPoolsG200TightBudgets) {
   EXPECT_EQ(g.traces, 0xd4a0c517554e1e8dull);
 }
 
+/// Static extraction traces at most one tracer block: a budget above 64
+/// failing patterns yields exactly the 64-pattern pools and traces.
+TEST(CandidatesGolden, StaticBudgetAboveOneBlockIsOneBlock) {
+  CandidateOptions wide;
+  wide.max_traced_patterns = 200;
+  const GoldenDigests g64 = static_golden("g200", 12, {});
+  const GoldenDigests g200 = static_golden("g200", 12, wide);
+  ASSERT_GT(g200.max_failing, 64u);
+  EXPECT_EQ(g200.pools, g64.pools);
+  EXPECT_EQ(g200.traces, g64.traces);
+}
+
 TEST(CandidatesGolden, StaticPoolsG1k) {
   const GoldenDigests g = static_golden("g1k", 4, {});
   EXPECT_EQ(g.pools, 0xad75dfe6a80a4f57ull);
