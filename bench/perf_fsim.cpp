@@ -21,6 +21,7 @@
 
 #include "fsim/cpt.hpp"
 #include "fsim/fsim.hpp"
+#include "fsim/propagate.hpp"
 #include "netlist/generator.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/kernel.hpp"
@@ -110,24 +111,23 @@ void register_kernel_sweeps() {
 
 // ---- thread-axis batches (process-default kernel; MDD_KERNEL overrides) ----
 
-// Threads axis: fault-parallel signature batch on the large generated
-// circuit — the hot path of every diagnosis campaign. Arg = thread count;
-// output is byte-identical across the axis (tests/test_parallel_equiv.cpp),
-// so the BENCH json trajectory records pure speedup.
+// Threads axis: the site-grouped solo-signature batch (solo_signatures, the
+// routine behind the store build and the context warm) on the large
+// generated circuit, baseline included. Arg = thread count; output is
+// byte-identical across the axis (tests/test_parallel_equiv.cpp), so the
+// trajectory records pure speedup.
 void BM_SignatureBatchThreads(benchmark::State& state) {
   const Netlist& nl = circuit("g5k");
   const PatternSet stimuli = PatternSet::random(256, nl.n_inputs(), 3);
-  FaultSimulator fsim(nl, stimuli);
   const std::vector<Fault> universe = all_stuck_at_faults(nl);
   std::vector<Fault> faults;
   for (std::size_t i = 0; i < universe.size() && faults.size() < 256;
        i += universe.size() / 256 + 1)
     faults.push_back(universe[i]);
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
   const ExecPolicy policy =
-      threads <= 1 ? ExecPolicy::serial() : ExecPolicy::parallel(threads);
+      ExecPolicy::parallel(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto sigs = fsim.signatures(faults, policy);
+    auto sigs = solo_signatures(nl, stimuli, faults, policy);
     benchmark::DoNotOptimize(sigs.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -141,24 +141,23 @@ BENCHMARK(BM_SignatureBatchThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Threads axis for batch detection (early-exit workload, less uniform per
-// fault than full signatures).
-void BM_DetectedBatchThreads(benchmark::State& state) {
+// Threads axis for the whole uncollapsed stuck-at universe of g1k — the
+// store-build shape: every site carries several faults, so one flip serves
+// each site group.
+void BM_StuckAtUniverseBatchThreads(benchmark::State& state) {
   const Netlist& nl = circuit("g1k");
   const PatternSet stimuli = PatternSet::random(256, nl.n_inputs(), 5);
-  FaultSimulator fsim(nl, stimuli);
   const std::vector<Fault> faults = all_stuck_at_faults(nl);
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
   const ExecPolicy policy =
-      threads <= 1 ? ExecPolicy::serial() : ExecPolicy::parallel(threads);
+      ExecPolicy::parallel(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto det = fsim.detected(faults, policy);
-    benchmark::DoNotOptimize(det);
+    auto sigs = solo_signatures(nl, stimuli, faults, policy);
+    benchmark::DoNotOptimize(sigs.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(faults.size()));
 }
-BENCHMARK(BM_DetectedBatchThreads)
+BENCHMARK(BM_StuckAtUniverseBatchThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

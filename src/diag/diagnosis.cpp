@@ -1,8 +1,6 @@
 #include "diag/diagnosis.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <optional>
 
 #include "obs/metrics.hpp"
@@ -47,7 +45,7 @@ DiagMetrics& diag_metrics() {
 DiagnosisContext::DiagnosisContext(
     const Netlist& netlist, const PatternSet& patterns,
     const Datalog& datalog, const CandidateOptions& candidate_options,
-    const PatternSet* precomputed_good,
+    const PatternSet* /*precomputed_good*/,
     std::shared_ptr<const PropagatorBaseline> baseline, obs::Trace* trace)
     : netlist_(&netlist),
       datalog_(&datalog),
@@ -73,21 +71,10 @@ DiagnosisContext::DiagnosisContext(
         baseline->values.size() == window_.n_blocks() &&
         baseline->good.n_patterns() == window_.n_patterns())
       baseline_ = std::move(baseline);
-    if (baseline_ != nullptr)
-      propagator_.emplace(netlist, window_, baseline_);
     else
-      propagator_.emplace(netlist, window_);
-    if (precomputed_good != nullptr &&
-        precomputed_good->n_patterns() >= window_.n_patterns())
-      fsim_.emplace(netlist, window_,
-                    make_window(*precomputed_good, window_.n_patterns()));
-    else
-      fsim_.emplace(netlist, window_);
+      baseline_ = SingleFaultPropagator::make_baseline(netlist, window_);
+    propagator_.emplace(netlist, window_, baseline_);
   }
-  // Static contexts always admit the cross-case memos: entries are keyed
-  // by (fault, window length) and hold pre-masking truth, so truncation
-  // and X-masking no longer disqualify a datalog from amortization.
-  memo_attachable_ = true;
 }
 
 DiagnosisContext::DiagnosisContext(const Netlist& netlist,
@@ -104,7 +91,7 @@ DiagnosisContext::DiagnosisContext(const Netlist& netlist,
       masked_(restrict_signature(datalog.masked, datalog.n_patterns_applied)),
       pool_(extract_tdf_candidates(netlist, launch_window_, window_, datalog,
                                    candidate_options)),
-      pair_fsim_(std::in_place, netlist, launch_window_, window_),
+      pair_mode_(true),
       propagator_(std::in_place, netlist, launch_window_, window_),
       solo_cache_(pool_.faults.size()) {}
 
@@ -185,72 +172,35 @@ std::size_t DiagnosisContext::warm_solo_from_store() {
 
 void DiagnosisContext::warm_solo_signatures(const ExecPolicy& policy,
                                             const CancelToken* cancel) {
-  // Site groups: the pool stably sorted by fault site, so all candidates
-  // on one site are derived in a row from a single flip of it (the
-  // propagator's memo), by one worker.
-  const std::size_t n = pool_.faults.size();
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return pool_.faults[a].net < pool_.faults[b].net;
-                   });
-  if (policy.is_serial()) {
-    CancelCheckpoint cp(cancel, 8);
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      if (cp()) {
-        diag_metrics().warm_dropped.inc(n - pos);
-        return;
-      }
-      solo_signature(order[pos]);
-    }
-    return;
-  }
-  std::vector<std::size_t> group_begin;
-  for (std::size_t pos = 0; pos < n; ++pos)
-    if (pos == 0 ||
-        pool_.faults[order[pos]].net != pool_.faults[order[pos - 1]].net)
-      group_begin.push_back(pos);
-  const std::size_t n_groups = group_begin.size();
-  group_begin.push_back(n);
-  // One private event engine per worker, built on its first chunk and
-  // reused for every later one: identical per-query results, no shared
-  // scratch. The good machine is read-only, so workers share it.
-  std::vector<std::optional<SingleFaultPropagator>> props(
-      worker_slots(policy, n_groups));
-  parallel_for_ranges(
-      policy, n_groups,
-      [&](std::size_t g_begin, std::size_t g_end, std::size_t worker) {
-        // A chunk drawn after the token tripped polls it on its first
-        // slot and counts itself whole, so the drops add up to exactly
-        // the slots this warm left cold.
-        CancelCheckpoint cp(cancel, 8);
-        const std::size_t end = group_begin[g_end];
-        for (std::size_t pos = group_begin[g_begin]; pos < end; ++pos) {
-          if (cp()) {
-            diag_metrics().warm_dropped.inc(end - pos);
-            return;
-          }
-          std::optional<SingleFaultPropagator>& prop = props[worker];
-          if (!prop) {
-            if (pair_mode())
-              prop.emplace(*netlist_, launch_window_, window_);
-            else if (baseline_ != nullptr)
-              prop.emplace(*netlist_, window_, baseline_);
-            else
-              prop.emplace(*netlist_, window_);
-          }
-          fill_solo(order[pos], *prop, nullptr);
-        }
-      });
+  const std::size_t dropped = for_each_fault_by_site(
+      pool_.faults, policy,
+      [&] {
+        return pair_mode_
+                   ? SingleFaultPropagator(*netlist_, launch_window_, window_)
+                   : SingleFaultPropagator(*netlist_, window_, baseline_);
+      },
+      [&](std::size_t i, SingleFaultPropagator& prop) {
+        fill_solo(i, prop, nullptr);
+      },
+      cancel);
+  if (dropped > 0) diag_metrics().warm_dropped.inc(dropped);
+}
+
+void DiagnosisContext::use_reference_composites(bool on) {
+  reference_composites_ = on;
+  if (!on || fsim_ || pair_fsim_) return;
+  if (pair_mode_)
+    pair_fsim_.emplace(*netlist_, launch_window_, window_);
+  else
+    fsim_.emplace(*netlist_, window_);
 }
 
 ErrorSignature DiagnosisContext::multiplet_signature(
     std::span<const Fault> multiplet) {
   if (reference_composites_) {
     diag_metrics().composite_evals.inc();
-    ErrorSignature sig = pair_mode() ? pair_fsim_->signature(multiplet)
-                                     : fsim_->signature(multiplet);
+    ErrorSignature sig = pair_mode_ ? pair_fsim_->signature(multiplet)
+                                    : fsim_->signature(multiplet);
     if (!masked_.empty()) sig = signature_difference(sig, masked_);
     return sig;
   }

@@ -98,14 +98,14 @@ class SoloSignatureStore {
 
 class DiagnosisContext {
  public:
-  /// Static-test context (single-frame patterns). `precomputed_good`, if
-  /// given, must be simulate(netlist, patterns) over the FULL pattern set
-  /// (the serving session cache computes it once per circuit); the window
-  /// restriction is applied here. Null recomputes it. `baseline`, if
-  /// given, must be SingleFaultPropagator::make_baseline(netlist,
+  /// Static-test context (single-frame patterns). `precomputed_good` is
+  /// no longer read (the propagator baseline carries the good response);
+  /// the parameter stays so existing callers keep compiling. `baseline`,
+  /// if given, must be SingleFaultPropagator::make_baseline(netlist,
   /// patterns) — it is used (shared, not copied) whenever the datalog's
   /// window spans the full pattern set, sparing each context the
-  /// full-circuit good simulation; otherwise it is ignored. `trace`, if
+  /// full-circuit good simulation; otherwise the context builds its own
+  /// once, and every propagator it runs shares it. `trace`, if
   /// non-null, receives nested "extract" / "baseline" spans covering
   /// candidate extraction and simulation-engine setup (the serving layer
   /// threads its per-request trace through here).
@@ -129,7 +129,7 @@ class DiagnosisContext {
   DiagnosisContext& operator=(const DiagnosisContext&) = delete;
 
   const Netlist& netlist() const { return *netlist_; }
-  bool pair_mode() const { return pair_fsim_.has_value(); }
+  bool pair_mode() const { return pair_mode_; }
   /// Patterns restricted to the datalog's applied window (capture frame in
   /// pair mode).
   const PatternSet& patterns() const { return window_; }
@@ -148,9 +148,10 @@ class DiagnosisContext {
   /// cached object, computed exactly once (per-slot std::once_flag).
   const ErrorSignature& solo_signature(std::size_t i);
 
-  /// Fills the solo-signature cache site-parallel under `policy`: the
-  /// candidates are grouped by fault site and each group runs on one
-  /// worker's own event engine, so every site is flipped once. Slots
+  /// Fills the solo-signature cache site-parallel under `policy`, through
+  /// the shared batch schedule (for_each_fault_by_site): the candidates
+  /// are grouped by fault site and each group runs on one worker's own
+  /// event engine, so every site is flipped once. Slots
   /// already computed are kept; the cached values are byte-identical to
   /// the lazy serial fill for any thread count. A cancelled `cancel`
   /// token stops the warm at the next candidate boundary — remaining
@@ -180,7 +181,7 @@ class DiagnosisContext {
   /// signatures depend on the launch frame as well. Call before the
   /// first solo_signature()/warm_solo_signatures() query.
   void attach_solo_store(SoloSignatureStore* store) {
-    if (memo_attachable_) solo_store_ = store;
+    if (!pair_mode_) solo_store_ = store;
   }
   bool solo_store_attached() const { return solo_store_ != nullptr; }
 
@@ -199,13 +200,14 @@ class DiagnosisContext {
   /// the same thing in every attaching context. Pair-mode contexts keep
   /// their private per-request memo.
   void attach_composite_memo(CompositeMemo* memo) {
-    if (memo_attachable_ && memo != nullptr) composites_ = memo;
+    if (!pair_mode_ && memo != nullptr) composites_ = memo;
   }
 
   /// Routes multiplet_signature through the reference full-circuit
-  /// simulator instead of the event engine + memo (A/B benchmarking and
+  /// simulator (FaultSimulator / PairFaultSimulator, built here on first
+  /// use) instead of the event engine + memo (A/B benchmarking and
   /// differential tests).
-  void use_reference_composites(bool on) { reference_composites_ = on; }
+  void use_reference_composites(bool on);
 
   /// Candidates (other than `i`) with a solo signature identical to
   /// candidate `i`'s — its indistinguishability class.
@@ -219,12 +221,13 @@ class DiagnosisContext {
   ErrorSignature observed_;
   ErrorSignature masked_;  ///< X-masked bits stripped from every signature
   CandidatePool pool_;
+  bool pair_mode_ = false;
+  /// Event-driven PPSFP engine for the thousands of per-candidate solo
+  /// signatures and the search's composites.
+  std::optional<SingleFaultPropagator> propagator_;
+  /// The reference simulators; built only by use_reference_composites.
   std::optional<FaultSimulator> fsim_;
   std::optional<PairFaultSimulator> pair_fsim_;
-  /// Event-driven PPSFP engine for the thousands of per-candidate solo
-  /// signatures and the search's composites (the full machines above
-  /// serve use_reference_composites).
-  std::optional<SingleFaultPropagator> propagator_;
 
   struct SoloSlot {
     std::once_flag once;
@@ -247,14 +250,13 @@ class DiagnosisContext {
   std::mutex propagator_mutex_;  ///< guards propagator_'s scratch state
   std::atomic<std::size_t> solo_computes_{0};
   SoloSignatureStore* solo_store_ = nullptr;
-  bool memo_attachable_ = false;  ///< static mode (window-keyed memos OK)
   /// Per-context composite memo (intra-request reuse across restarts and
   /// refinement); replaced by the session-wide memo when one is attached.
   CompositeMemo local_composites_{32ull << 20};
   CompositeMemo* composites_ = &local_composites_;
   bool reference_composites_ = false;
-  /// Shared good-machine state for the propagators (full-window static
-  /// contexts only; null means each propagator computes its own).
+  /// Good-machine state every static-mode propagator shares (null in
+  /// pair mode).
   std::shared_ptr<const PropagatorBaseline> baseline_;
 };
 

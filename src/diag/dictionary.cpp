@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
-#include "fsim/fsim.hpp"
+#include "fsim/propagate.hpp"
 #include "store/reader.hpp"
 
 namespace mdd {
@@ -56,10 +55,7 @@ FaultDictionary::FaultDictionary(const Netlist& netlist,
   const auto t0 = std::chrono::steady_clock::now();
   faults_ = build_universe(netlist);
 
-  FaultSimulator fsim(netlist, patterns);
-  signatures_.reserve(faults_.size());
-  for (std::size_t i = 0; i < faults_.size(); ++i)
-    signatures_.push_back(fsim.signature(faults_[i]));
+  signatures_ = solo_signatures(netlist, patterns, faults_);
   index_signatures();
   build_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -75,20 +71,25 @@ FaultDictionary::FaultDictionary(const Netlist& netlist,
   reader.validate_for(netlist, patterns);
   faults_ = build_universe(netlist);
 
-  // Decode stored faults off the mapping; simulate only the stragglers
-  // (e.g. a store built without bridges). The simulator is constructed on
-  // first fallback — a fully covering store never pays for it.
-  std::optional<FaultSimulator> fsim;
-  signatures_.reserve(faults_.size());
+  // Decode stored faults off the mapping; compute only the stragglers
+  // (e.g. a store built without bridges), in one batch — a fully covering
+  // store never builds a propagator.
+  signatures_.resize(faults_.size());
+  std::vector<std::size_t> missing;
+  std::vector<Fault> stragglers;
   for (std::size_t i = 0; i < faults_.size(); ++i) {
     if (auto idx = reader.find(faults_[i])) {
-      signatures_.push_back(reader.decode(*idx));
+      signatures_[i] = reader.decode(*idx);
       ++store_hits_;
     } else {
-      if (!fsim.has_value()) fsim.emplace(netlist, patterns);
-      signatures_.push_back(fsim->signature(faults_[i]));
+      missing.push_back(i);
+      stragglers.push_back(faults_[i]);
     }
   }
+  std::vector<ErrorSignature> computed =
+      solo_signatures(netlist, patterns, stragglers);
+  for (std::size_t k = 0; k < missing.size(); ++k)
+    signatures_[missing[k]] = std::move(computed[k]);
   index_signatures();
   build_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -43,8 +43,8 @@ class FaultDictionary {
 
   /// Builds the same dictionary from a persistent store instead of
   /// simulating: every universe fault found in `reader` is decoded off
-  /// the mapping; faults the store lacks fall back to simulation (one
-  /// FaultSimulator is constructed lazily, only if needed). The store
+  /// the mapping; the faults the store lacks are computed in one
+  /// solo_signatures batch (none when the store covers them all). The store
   /// must have been built for exactly this (netlist, patterns) —
   /// validated by content hash; a mismatch throws store::StoreError.
   FaultDictionary(const Netlist& netlist, const PatternSet& patterns,

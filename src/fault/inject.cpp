@@ -38,7 +38,11 @@ FaultyMachine::FaultyMachine(const Netlist& netlist, const SimKernel& kernel)
 }
 
 void FaultyMachine::set_faults(std::span<const Fault> faults) {
+  // A multiplet is a set: members are injected in canonical (sorted)
+  // order, so members on one net (SA0 and SA1 on one pin, two bridges onto
+  // one victim) resolve the same way whatever order the caller listed.
   faults_.assign(faults.begin(), faults.end());
+  std::sort(faults_.begin(), faults_.end());
   stem_overrides_.clear();
   pin_overrides_.clear();
   bridges_.clear();

@@ -38,7 +38,9 @@ class FaultyMachine {
   std::size_t lanes() const { return lanes_; }
 
   /// Installs the active fault set (validated). Any number and mix of
-  /// faults is allowed, including the empty set (good machine).
+  /// faults is allowed, including the empty set (good machine). The set is
+  /// injected in canonical (sorted) order, so the caller's member order
+  /// never changes a result; faults() returns that order.
   void set_faults(std::span<const Fault> faults);
   const std::vector<Fault>& faults() const { return faults_; }
 

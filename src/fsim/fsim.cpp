@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 
@@ -196,7 +197,7 @@ namespace {
 
 /// Whole-machine simulation volume, for the obs layer: every signature /
 /// detection kernel call lands here. Relaxed atomic adds on cached
-/// handles — safe and cheap from any worker thread.
+/// handles — safe and cheap from any thread.
 struct FsimMetrics {
   obs::Counter& signatures = obs::registry().counter("fsim.signatures");
   obs::Counter& detect_queries =
@@ -210,20 +211,22 @@ FsimMetrics& fsim_metrics() {
   return m;
 }
 
-/// Single-frame signature kernel on an explicit machine — shared by the
-/// serial member and the fault-parallel batch (one machine per worker).
-ErrorSignature signature_on(FaultyMachine& machine, const Netlist& netlist,
+/// Error signature of the fault set installed in `machine`: `run(b)`
+/// evaluates the lane group at block `b` (one or two frames) and returns
+/// its block count; the PO values are compared with `good` (capture-frame
+/// `patterns` shape).
+template <typename Run>
+ErrorSignature diff_outputs(const FaultyMachine& machine,
+                            const Netlist& netlist,
                             const PatternSet& patterns,
-                            const PatternSet& good,
-                            std::span<const Fault> multiplet) {
+                            const PatternSet& good, Run run) {
   fsim_metrics().signatures.inc();
   fsim_metrics().patterns_simulated.inc(patterns.n_patterns());
-  machine.set_faults(multiplet);
   ErrorSignature sig(patterns.n_patterns(), netlist.n_outputs());
   std::vector<Word> mask(sig.n_po_words());
   const auto& pos = netlist.outputs();
   for (std::size_t b = 0; b < patterns.n_blocks();) {
-    const std::size_t m = machine.run_wide(patterns, b);
+    const std::size_t m = run(b);
     for (std::size_t l = 0; l < m; ++l) {
       const Word valid = patterns.valid_mask(b + l);
       // Which patterns in this block show any PO difference?
@@ -247,79 +250,38 @@ ErrorSignature signature_on(FaultyMachine& machine, const Netlist& netlist,
   return sig;
 }
 
-bool detects_on(FaultyMachine& machine, const Netlist& netlist,
-                const PatternSet& patterns, const PatternSet& good,
-                const Fault& fault) {
+/// Lowest pattern index whose PO response differs from `good` under the
+/// fault set installed in `machine` (early exit per lane group).
+template <typename Run>
+std::optional<std::uint32_t> first_difference(const FaultyMachine& machine,
+                                              const Netlist& netlist,
+                                              const PatternSet& patterns,
+                                              const PatternSet& good,
+                                              Run run) {
   fsim_metrics().detect_queries.inc();
-  machine.set_faults({&fault, 1});
   const auto& pos = netlist.outputs();
   for (std::size_t b = 0; b < patterns.n_blocks();) {
-    const std::size_t m = machine.run_wide(patterns, b);
+    const std::size_t m = run(b);
     for (std::size_t l = 0; l < m; ++l) {
       const Word valid = patterns.valid_mask(b + l);
+      Word any = kAllZero;
       for (std::size_t o = 0; o < pos.size(); ++o)
-        if ((machine.value(pos[o], l) ^ good.word(b + l, o)) & valid)
-          return true;
+        any |= (machine.value(pos[o], l) ^ good.word(b + l, o)) & valid;
+      if (any)
+        return static_cast<std::uint32_t>((b + l) * 64 +
+                                          std::countr_zero(any));
     }
     b += m;
   }
-  return false;
+  return std::nullopt;
 }
 
-/// Two-frame (launch/capture) signature kernel on an explicit machine.
-ErrorSignature pair_signature_on(FaultyMachine& machine,
-                                 const Netlist& netlist,
-                                 const PatternSet& launch,
-                                 const PatternSet& capture,
-                                 const PatternSet& good,
-                                 std::span<const Fault> multiplet) {
-  fsim_metrics().signatures.inc();
-  fsim_metrics().patterns_simulated.inc(capture.n_patterns());
-  machine.set_faults(multiplet);
-  ErrorSignature sig(capture.n_patterns(), netlist.n_outputs());
-  std::vector<Word> mask(sig.n_po_words());
-  const auto& pos = netlist.outputs();
-  for (std::size_t b = 0; b < capture.n_blocks();) {
-    const std::size_t m = machine.run_pair_wide(launch, capture, b);
-    for (std::size_t l = 0; l < m; ++l) {
-      const Word valid = capture.valid_mask(b + l);
-      Word any_diff = kAllZero;
-      for (std::size_t o = 0; o < pos.size(); ++o)
-        any_diff |= (machine.value(pos[o], l) ^ good.word(b + l, o)) & valid;
-      while (any_diff) {
-        const int bit = std::countr_zero(any_diff);
-        any_diff &= any_diff - 1;
-        const std::size_t p = (b + l) * 64 + static_cast<std::size_t>(bit);
-        std::fill(mask.begin(), mask.end(), kAllZero);
-        for (std::size_t o = 0; o < pos.size(); ++o) {
-          const Word d = machine.value(pos[o], l) ^ good.word(b + l, o);
-          if ((d >> bit) & 1u) mask[o / 64] |= Word{1} << (o % 64);
-        }
-        sig.append(static_cast<std::uint32_t>(p), mask);
-      }
-    }
-    b += m;
-  }
-  return sig;
-}
-
-bool pair_detects_on(FaultyMachine& machine, const Netlist& netlist,
-                     const PatternSet& launch, const PatternSet& capture,
-                     const PatternSet& good, const Fault& fault) {
-  fsim_metrics().detect_queries.inc();
-  machine.set_faults({&fault, 1});
-  const auto& pos = netlist.outputs();
-  for (std::size_t b = 0; b < capture.n_blocks();) {
-    const std::size_t m = machine.run_pair_wide(launch, capture, b);
-    for (std::size_t l = 0; l < m; ++l) {
-      const Word valid = capture.valid_mask(b + l);
-      for (std::size_t o = 0; o < pos.size(); ++o)
-        if ((machine.value(pos[o], l) ^ good.word(b + l, o)) & valid)
-          return true;
-    }
-    b += m;
-  }
-  return false;
+double fraction_detected(std::span<const Fault> faults,
+                         const std::function<bool(const Fault&)>& detects) {
+  if (faults.empty()) return 1.0;
+  std::size_t n = 0;
+  for (const Fault& f : faults) n += detects(f);
+  return static_cast<double>(n) / static_cast<double>(faults.size());
 }
 
 }  // namespace
@@ -358,31 +320,24 @@ ErrorSignature FaultSimulator::signature(const Fault& fault) {
 }
 
 ErrorSignature FaultSimulator::signature(std::span<const Fault> multiplet) {
-  return signature_on(machine_, *netlist_, *patterns_, good_, multiplet);
+  machine_.set_faults(multiplet);
+  return diff_outputs(machine_, *netlist_, *patterns_, good_,
+                      [&](std::size_t b) {
+                        return machine_.run_wide(*patterns_, b);
+                      });
 }
 
 bool FaultSimulator::detects(const Fault& fault) {
-  return detects_on(machine_, *netlist_, *patterns_, good_, fault);
+  return first_detecting_pattern(fault).has_value();
 }
 
 std::optional<std::uint32_t> FaultSimulator::first_detecting_pattern(
     const Fault& fault) {
   machine_.set_faults({&fault, 1});
-  const auto& pos = netlist_->outputs();
-  for (std::size_t b = 0; b < patterns_->n_blocks();) {
-    const std::size_t m = machine_.run_wide(*patterns_, b);
-    for (std::size_t l = 0; l < m; ++l) {
-      const Word valid = patterns_->valid_mask(b + l);
-      Word any = kAllZero;
-      for (std::size_t o = 0; o < pos.size(); ++o)
-        any |= (machine_.value(pos[o], l) ^ good_.word(b + l, o)) & valid;
-      if (any)
-        return static_cast<std::uint32_t>((b + l) * 64 +
-                                          std::countr_zero(any));
-    }
-    b += m;
-  }
-  return std::nullopt;
+  return first_difference(machine_, *netlist_, *patterns_, good_,
+                          [&](std::size_t b) {
+                            return machine_.run_wide(*patterns_, b);
+                          });
 }
 
 std::vector<bool> FaultSimulator::detected(std::span<const Fault> faults) {
@@ -392,59 +347,8 @@ std::vector<bool> FaultSimulator::detected(std::span<const Fault> faults) {
 }
 
 double FaultSimulator::coverage(std::span<const Fault> faults) {
-  if (faults.empty()) return 1.0;
-  const auto det = detected(faults);
-  std::size_t n = 0;
-  for (bool d : det) n += d;
-  return static_cast<double>(n) / static_cast<double>(faults.size());
-}
-
-std::vector<ErrorSignature> FaultSimulator::signatures(
-    std::span<const Fault> faults, const ExecPolicy& policy) const {
-  std::vector<ErrorSignature> out(faults.size());
-  // One machine per worker, built on its first chunk: a machine answers
-  // independently of what it simulated before, so reusing it across
-  // chunks cannot change a result.
-  std::vector<std::optional<FaultyMachine>> machines(
-      worker_slots(policy, faults.size()));
-  parallel_for_ranges(
-      policy, faults.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        std::optional<FaultyMachine>& machine = machines[worker];
-        if (!machine) machine.emplace(*netlist_, machine_.kernel());
-        for (std::size_t i = begin; i < end; ++i)
-          out[i] = signature_on(*machine, *netlist_, *patterns_, good_,
-                                {&faults[i], 1});
-      });
-  return out;
-}
-
-std::vector<bool> FaultSimulator::detected(std::span<const Fault> faults,
-                                           const ExecPolicy& policy) const {
-  // std::vector<bool> packs bits — adjacent slots share a word, so workers
-  // write one byte per index and the flags are packed afterwards.
-  std::vector<char> flags(faults.size(), 0);
-  std::vector<std::optional<FaultyMachine>> machines(
-      worker_slots(policy, faults.size()));
-  parallel_for_ranges(
-      policy, faults.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        std::optional<FaultyMachine>& machine = machines[worker];
-        if (!machine) machine.emplace(*netlist_, machine_.kernel());
-        for (std::size_t i = begin; i < end; ++i)
-          flags[i] =
-              detects_on(*machine, *netlist_, *patterns_, good_, faults[i]);
-      });
-  return std::vector<bool>(flags.begin(), flags.end());
-}
-
-double FaultSimulator::coverage(std::span<const Fault> faults,
-                                const ExecPolicy& policy) const {
-  if (faults.empty()) return 1.0;
-  const auto det = detected(faults, policy);
-  std::size_t n = 0;
-  for (bool d : det) n += d;
-  return static_cast<double>(n) / static_cast<double>(faults.size());
+  return fraction_detected(faults,
+                           [&](const Fault& f) { return detects(f); });
 }
 
 PairFaultSimulator::PairFaultSimulator(const Netlist& netlist,
@@ -471,83 +375,30 @@ ErrorSignature PairFaultSimulator::signature(const Fault& fault) {
 }
 
 ErrorSignature PairFaultSimulator::signature(std::span<const Fault> multiplet) {
-  return pair_signature_on(machine_, *netlist_, *launch_, *capture_, good_,
-                           multiplet);
+  machine_.set_faults(multiplet);
+  return diff_outputs(machine_, *netlist_, *capture_, good_,
+                      [&](std::size_t b) {
+                        return machine_.run_pair_wide(*launch_, *capture_, b);
+                      });
 }
 
 bool PairFaultSimulator::detects(const Fault& fault) {
-  return pair_detects_on(machine_, *netlist_, *launch_, *capture_, good_,
-                         fault);
+  return first_detecting_pair(fault).has_value();
 }
 
 std::optional<std::uint32_t> PairFaultSimulator::first_detecting_pair(
     const Fault& fault) {
   machine_.set_faults({&fault, 1});
-  const auto& pos = netlist_->outputs();
-  for (std::size_t b = 0; b < capture_->n_blocks();) {
-    const std::size_t m = machine_.run_pair_wide(*launch_, *capture_, b);
-    for (std::size_t l = 0; l < m; ++l) {
-      const Word valid = capture_->valid_mask(b + l);
-      Word any = kAllZero;
-      for (std::size_t o = 0; o < pos.size(); ++o)
-        any |= (machine_.value(pos[o], l) ^ good_.word(b + l, o)) & valid;
-      if (any)
-        return static_cast<std::uint32_t>((b + l) * 64 +
-                                          std::countr_zero(any));
-    }
-    b += m;
-  }
-  return std::nullopt;
+  return first_difference(machine_, *netlist_, *capture_, good_,
+                          [&](std::size_t b) {
+                            return machine_.run_pair_wide(*launch_, *capture_,
+                                                          b);
+                          });
 }
 
 double PairFaultSimulator::coverage(std::span<const Fault> faults) {
-  if (faults.empty()) return 1.0;
-  std::size_t n = 0;
-  for (const Fault& f : faults) n += detects(f);
-  return static_cast<double>(n) / static_cast<double>(faults.size());
-}
-
-std::vector<ErrorSignature> PairFaultSimulator::signatures(
-    std::span<const Fault> faults, const ExecPolicy& policy) const {
-  std::vector<ErrorSignature> out(faults.size());
-  std::vector<std::optional<FaultyMachine>> machines(
-      worker_slots(policy, faults.size()));
-  parallel_for_ranges(
-      policy, faults.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        std::optional<FaultyMachine>& machine = machines[worker];
-        if (!machine) machine.emplace(*netlist_, machine_.kernel());
-        for (std::size_t i = begin; i < end; ++i)
-          out[i] = pair_signature_on(*machine, *netlist_, *launch_, *capture_,
-                                     good_, {&faults[i], 1});
-      });
-  return out;
-}
-
-std::vector<bool> PairFaultSimulator::detected(
-    std::span<const Fault> faults, const ExecPolicy& policy) const {
-  std::vector<char> flags(faults.size(), 0);
-  std::vector<std::optional<FaultyMachine>> machines(
-      worker_slots(policy, faults.size()));
-  parallel_for_ranges(
-      policy, faults.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        std::optional<FaultyMachine>& machine = machines[worker];
-        if (!machine) machine.emplace(*netlist_, machine_.kernel());
-        for (std::size_t i = begin; i < end; ++i)
-          flags[i] = pair_detects_on(*machine, *netlist_, *launch_, *capture_,
-                                     good_, faults[i]);
-      });
-  return std::vector<bool>(flags.begin(), flags.end());
-}
-
-double PairFaultSimulator::coverage(std::span<const Fault> faults,
-                                    const ExecPolicy& policy) const {
-  if (faults.empty()) return 1.0;
-  const auto det = detected(faults, policy);
-  std::size_t n = 0;
-  for (bool d : det) n += d;
-  return static_cast<double>(n) / static_cast<double>(faults.size());
+  return fraction_detected(faults,
+                           [&](const Fault& f) { return detects(f); });
 }
 
 }  // namespace mdd

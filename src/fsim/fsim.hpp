@@ -6,6 +6,13 @@
 // detection/coverage via FaultyMachine, evaluating one kernel lane group
 // (kernel.lanes x 64 patterns) per pass; results are bit-identical for
 // every kernel (tests/test_kernel_equiv.cpp).
+//
+// FaultSimulator and PairFaultSimulator are the serial *reference*: one
+// full faulty-machine resimulation per query, simple enough to trust. The
+// production signatures come from the event-driven SingleFaultPropagator
+// (fsim/propagate.hpp), which the tests, `openmdd dict verify` and the
+// benchmark's answer check hold to this reference bit for bit. Defect
+// sampling and datalog synthesis use it directly too.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "core/exec.hpp"
 #include "fault/inject.hpp"
 #include "sim/sim2.hpp"
 
@@ -151,22 +157,6 @@ class FaultSimulator {
   /// Fraction of `faults` detected by the pattern set.
   double coverage(std::span<const Fault> faults);
 
-  /// Solo signatures of every fault, fault-parallel under `policy` with
-  /// per-worker FaultyMachine scratch. Result order matches `faults` and
-  /// each entry is byte-identical to `signature(faults[i])` for any thread
-  /// count.
-  std::vector<ErrorSignature> signatures(std::span<const Fault> faults,
-                                         const ExecPolicy& policy) const;
-
-  /// Fault-parallel `detected` (same early exit per fault, identical
-  /// output for any thread count).
-  std::vector<bool> detected(std::span<const Fault> faults,
-                             const ExecPolicy& policy) const;
-
-  /// Fault-parallel coverage.
-  double coverage(std::span<const Fault> faults,
-                  const ExecPolicy& policy) const;
-
  private:
   const Netlist* netlist_;
   const PatternSet* patterns_;
@@ -199,15 +189,6 @@ class PairFaultSimulator {
   bool detects(const Fault& fault);
   std::optional<std::uint32_t> first_detecting_pair(const Fault& fault);
   double coverage(std::span<const Fault> faults);
-
-  /// Pair-parallel batch APIs, mirroring FaultSimulator: output is
-  /// byte-identical to the per-fault serial calls for any thread count.
-  std::vector<ErrorSignature> signatures(std::span<const Fault> faults,
-                                         const ExecPolicy& policy) const;
-  std::vector<bool> detected(std::span<const Fault> faults,
-                             const ExecPolicy& policy) const;
-  double coverage(std::span<const Fault> faults,
-                  const ExecPolicy& policy) const;
 
  private:
   const Netlist* netlist_;

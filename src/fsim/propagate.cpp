@@ -1,8 +1,10 @@
 #include "fsim/propagate.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "sim/sim2.hpp"
@@ -633,9 +635,73 @@ std::optional<ErrorSignature> SingleFaultPropagator::propagate_multiplet(
 ErrorSignature SingleFaultPropagator::signature(
     std::span<const Fault> multiplet) {
   propagate_metrics().composite_queries.inc();
-  if (auto sig = propagate_multiplet(multiplet)) return std::move(*sig);
+  // Set semantics, exactly as FaultyMachine::set_faults: the members are
+  // injected in canonical order.
+  members_.assign(multiplet.begin(), multiplet.end());
+  std::sort(members_.begin(), members_.end());
+  if (auto sig = propagate_multiplet(members_)) return std::move(*sig);
   propagate_metrics().composite_fallbacks.inc();
-  return exact_signature(multiplet);
+  return exact_signature(members_);
+}
+
+std::size_t for_each_fault_by_site(
+    std::span<const Fault> faults, const ExecPolicy& policy,
+    const std::function<SingleFaultPropagator()>& make,
+    const std::function<void(std::size_t, SingleFaultPropagator&)>& visit,
+    const CancelToken* cancel) {
+  const std::size_t n = faults.size();
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return faults[a].net < faults[b].net;
+                   });
+  std::vector<std::size_t> group_begin;
+  for (std::size_t pos = 0; pos < n; ++pos)
+    if (pos == 0 || faults[order[pos]].net != faults[order[pos - 1]].net)
+      group_begin.push_back(pos);
+  const std::size_t n_groups = group_begin.size();
+  group_begin.push_back(n);
+  // One private propagator per worker, built on its first chunk and reused
+  // for every later one: identical per-query results, no shared scratch.
+  std::vector<std::optional<SingleFaultPropagator>> props(
+      worker_slots(policy, n_groups));
+  std::atomic<std::size_t> dropped{0};
+  parallel_for_ranges(
+      policy, n_groups,
+      [&](std::size_t g_begin, std::size_t g_end, std::size_t worker) {
+        // A chunk drawn after the token tripped polls it on its first
+        // fault and counts itself whole, so the drops add up to exactly
+        // the faults left unvisited.
+        CancelCheckpoint cp(cancel, 8);
+        const std::size_t end = group_begin[g_end];
+        for (std::size_t pos = group_begin[g_begin]; pos < end; ++pos) {
+          if (cp()) {
+            dropped += end - pos;
+            return;
+          }
+          std::optional<SingleFaultPropagator>& prop = props[worker];
+          if (!prop) prop.emplace(make());
+          visit(order[pos], *prop);
+        }
+      });
+  return dropped;
+}
+
+std::vector<ErrorSignature> solo_signatures(const Netlist& netlist,
+                                            const PatternSet& patterns,
+                                            std::span<const Fault> faults,
+                                            const ExecPolicy& policy) {
+  std::vector<ErrorSignature> out(faults.size());
+  if (faults.empty()) return out;
+  const auto baseline = SingleFaultPropagator::make_baseline(netlist, patterns);
+  for_each_fault_by_site(
+      faults, policy,
+      [&] { return SingleFaultPropagator(netlist, patterns, baseline); },
+      [&](std::size_t i, SingleFaultPropagator& prop) {
+        out[i] = prop.signature(faults[i]);
+      });
+  return out;
 }
 
 }  // namespace mdd

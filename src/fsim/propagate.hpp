@@ -24,7 +24,8 @@
 //    victim's fan-out cone change more than one net and run as a
 //    one-member composite query instead.
 //  * signature(span<const Fault>) — an entire multiplet injected at once
-//    (composite evaluation), propagating through the union of the
+//    (composite evaluation; a set: members are injected in canonical
+//    order, like FaultyMachine), propagating through the union of the
 //    members' fan-out cones with the same bridge-fixpoint and two-frame
 //    transition semantics as FaultyMachine. Multiplets whose bridge
 //    couplings could interact cyclically (feedback pairs, bridge chains
@@ -32,11 +33,16 @@
 //    fixpoint machine, so results are bit-identical to the reference
 //    simulators in every case (verified by property tests).
 //
-// Used by DiagnosisContext for candidate solo signatures and for the
-// greedy multiplet search's composite scores, where thousands of queries
-// per case make full re-simulation the dominant cost.
+// It is the one production engine for fault signatures: DiagnosisContext
+// uses it for candidate solo signatures and the multiplet search's
+// composite scores, and every bulk solo-signature producer (the store
+// builder and refresh, FaultDictionary, the context's warm) runs it
+// through one site-grouped batch schedule, for_each_fault_by_site.
+// FaultSimulator / PairFaultSimulator stay as the serial reference the
+// tests and `openmdd dict verify` check it against.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -44,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/exec.hpp"
 #include "fault/inject.hpp"
 #include "fsim/fsim.hpp"
 
@@ -94,7 +101,7 @@ class SingleFaultPropagator {
   ErrorSignature signature(const Fault& fault);
 
   /// Error signature of an entire multiplet injected simultaneously
-  /// (composite evaluation). Bit-identical to
+  /// (composite evaluation), whatever the members' order. Bit-identical to
   /// FaultSimulator/PairFaultSimulator::signature(multiplet) for any fault
   /// mix: multiplets whose bridges could couple cyclically are detected up
   /// front and run on the exact fixpoint machine instead.
@@ -222,6 +229,7 @@ class SingleFaultPropagator {
   std::vector<Word> excitation_;  ///< [block] excited patterns of a query
 
   // Composite-query scratch (allocated on first composite query).
+  std::vector<Fault> members_;  ///< the multiplet in canonical order
   std::vector<CompStem> comp_stems_;
   std::vector<CompPin> comp_pins_;
   std::vector<CompBridge> comp_bridges_;
@@ -237,5 +245,27 @@ class SingleFaultPropagator {
 
   FaultyMachine fallback_;
 };
+
+/// The site-grouped batch schedule behind every bulk solo-signature
+/// producer. Orders `faults` stably by site (Fault::net) and hands each
+/// site's run whole to one worker, so a site is flipped once per batch
+/// (the propagator's one-entry flip memo). Each worker builds one
+/// propagator with `make` on its first chunk and reuses it. Calls
+/// visit(i, propagator) once per fault index i, unless a tripped `cancel`
+/// stops the workers at their next fault boundary; returns the number of
+/// indices left unvisited.
+std::size_t for_each_fault_by_site(
+    std::span<const Fault> faults, const ExecPolicy& policy,
+    const std::function<SingleFaultPropagator()>& make,
+    const std::function<void(std::size_t, SingleFaultPropagator&)>& visit,
+    const CancelToken* cancel = nullptr);
+
+/// Solo signatures of `faults`, in input order, each byte-identical to
+/// FaultSimulator::signature(faults[i]) for any thread count: one
+/// make_baseline shared by one propagator per worker.
+std::vector<ErrorSignature> solo_signatures(const Netlist& netlist,
+                                            const PatternSet& patterns,
+                                            std::span<const Fault> faults,
+                                            const ExecPolicy& policy = {});
 
 }  // namespace mdd

@@ -65,7 +65,8 @@ class DictReader {
   std::span<const std::uint8_t> postings_at(std::size_t i) const;
 
   /// Reconstructs the full-window signature of record `i`. Byte-identical
-  /// to what FaultSimulator::signature produced at build time; throws
+  /// to what the build computed (and so to FaultSimulator::signature,
+  /// which `openmdd dict verify` re-checks); throws
   /// StoreError on a malformed posting list.
   ErrorSignature decode(std::size_t i) const;
 

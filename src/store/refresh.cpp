@@ -11,7 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "fsim/fsim.hpp"
+#include "fsim/propagate.hpp"
 #include "obs/metrics.hpp"
 #include "store/journal.hpp"
 #include "store/reader.hpp"
@@ -189,8 +189,8 @@ RefreshStats fold_into_store(const Netlist& netlist,
   if (fresh.empty()) return out;  // nothing to learn: healthy no-op
 
   const auto t_sim = std::chrono::steady_clock::now();
-  const FaultSimulator fsim(netlist, patterns);
-  const std::vector<ErrorSignature> sigs = fsim.signatures(fresh, exec);
+  const std::vector<ErrorSignature> sigs =
+      solo_signatures(netlist, patterns, fresh, exec);
   out.build.simulate_seconds = seconds_since(t_sim);
 
   // Merge the sorted existing index with the sorted fresh faults into a

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "fsim/fsim.hpp"
+#include "fsim/propagate.hpp"
 #include "obs/metrics.hpp"
 
 namespace mdd::store {
@@ -53,8 +53,8 @@ BuildStats DictWriter::write(const std::string& path,
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
   const auto t_sim = std::chrono::steady_clock::now();
-  const FaultSimulator fsim(*netlist_, *patterns_);
-  const std::vector<ErrorSignature> signatures = fsim.signatures(sorted, exec);
+  const std::vector<ErrorSignature> signatures =
+      solo_signatures(*netlist_, *patterns_, sorted, exec);
   stats.simulate_seconds = seconds_since(t_sim);
 
   const auto t_enc = std::chrono::steady_clock::now();

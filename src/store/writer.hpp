@@ -1,8 +1,10 @@
 // openmdd — persistent fault-dictionary store: builder.
 //
-// `DictWriter` simulates the full-window error signature of every fault in
-// a caller-chosen universe (fault-parallel under an ExecPolicy, using the
-// same FaultSimulator the diagnosers trust) and writes one store file in
+// `DictWriter` computes the full-window error signature of every fault in
+// a caller-chosen universe (site-parallel under an ExecPolicy, with the
+// same event-driven propagator the diagnosers use: solo_signatures in
+// fsim/propagate.hpp, held to the reference FaultSimulator bit for bit by
+// the tests and `openmdd dict verify`) and writes one store file in
 // the v1 format of store/format.hpp. The write is atomic: everything goes
 // to "<path>.tmp" first and is renamed into place only after a successful
 // flush, so a crashed or interrupted build can never leave a readable but
@@ -50,7 +52,7 @@ class DictWriter {
   /// std::invalid_argument otherwise).
   DictWriter(const Netlist& netlist, const PatternSet& patterns);
 
-  /// Simulates `faults` (sorted + deduplicated internally) and writes the
+  /// Computes `faults` (sorted + deduplicated internally) and writes the
   /// store to `path` atomically. Throws StoreError on I/O failure.
   BuildStats write(const std::string& path, std::span<const Fault> faults,
                    const ExecPolicy& exec = {}) const;

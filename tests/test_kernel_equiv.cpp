@@ -1,7 +1,8 @@
 // Differential kernel-equivalence harness (the property backing the SIMD
 // widening): every available simulation kernel must produce BYTE-IDENTICAL
 // results to the scalar reference — ErrorSignatures, detect sets, coverage,
-// good responses, propagator solo and composite signatures, pair (launch/
+// good responses, propagator solo (one at a time and batched) and
+// composite signatures, pair (launch/
 // capture) signatures — over randomized circuits, randomized mixed fault
 // lists (stem/branch stuck-at, dom/wand/wor bridges, slow-to-rise/fall),
 // ragged pattern counts, and multiple thread counts. Any divergence prints
@@ -145,10 +146,12 @@ TEST(KernelEquiv, SignaturesDetectsCoverageMatchScalar) {
         static_only(make_fault_list(nl, 48, seed * 7));
 
     FaultSimulator reference(nl, patterns, scalar_kernel());
-    const auto ref_sigs = reference.signatures(faults, ExecPolicy::serial());
+    std::vector<ErrorSignature> ref_sigs;
+    for (const Fault& f : faults) ref_sigs.push_back(reference.signature(f));
     const auto ref_det = reference.detected(faults);
     const double ref_cov = reference.coverage(faults);
 
+    KernelGuard guard;
     for (const SimKernel* k : available_kernels()) {
       SCOPED_TRACE("seed=" + std::to_string(seed) + " kernel=" + k->name);
       FaultSimulator fsim(nl, patterns, *k);
@@ -156,18 +159,20 @@ TEST(KernelEquiv, SignaturesDetectsCoverageMatchScalar) {
       for (std::size_t i = 0; i < faults.size(); ++i) {
         SCOPED_TRACE("fault " + std::to_string(i));
         EXPECT_EQ(fsim.signature(faults[i]), ref_sigs[i]);
+        EXPECT_EQ(fsim.detects(faults[i]), ref_det[i]);
         EXPECT_EQ(fsim.first_detecting_pattern(faults[i]),
                   reference.first_detecting_pattern(faults[i]));
       }
       EXPECT_EQ(fsim.detected(faults), ref_det);
       EXPECT_EQ(fsim.coverage(faults), ref_cov);
-      // Thread counts must not change a single byte either.
+      // The production batch (on this kernel) must not change a single
+      // byte at any thread count either.
+      ASSERT_TRUE(set_current_kernel(k->name));
       for (const std::size_t n_threads : {1u, 3u}) {
         SCOPED_TRACE("n_threads=" + std::to_string(n_threads));
-        const ExecPolicy policy = ExecPolicy::parallel(n_threads);
-        EXPECT_EQ(fsim.signatures(faults, policy), ref_sigs);
-        EXPECT_EQ(fsim.detected(faults, policy), ref_det);
-        EXPECT_EQ(fsim.coverage(faults, policy), ref_cov);
+        EXPECT_EQ(solo_signatures(nl, patterns, faults,
+                                  ExecPolicy::parallel(n_threads)),
+                  ref_sigs);
       }
     }
   }

@@ -1,7 +1,8 @@
 // Differential tests: parallel execution ≡ serial execution, byte for
-// byte, for every ExecPolicy-taking API — fault-parallel signature
-// batches, detection flags, coverage, the solo-signature cache warm, and
-// whole diagnosis campaigns — at thread counts below, at, and far above
+// byte, for every ExecPolicy-taking API — the site-grouped solo-signature
+// batch (held to the serial FaultSimulator reference, detection included),
+// the solo-signature cache warm, and whole diagnosis campaigns — at
+// thread counts below, at, and far above
 // the work size and the host's core count (determinism must hold
 // regardless). The scheduler itself (core/exec.hpp: dynamic chunks) is
 // pinned down first: coverage, skewed cost, exceptions, nesting.
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "diag/diagnosis.hpp"
+#include "fsim/propagate.hpp"
 #include "netlist/generator.hpp"
 #include "obs/metrics.hpp"
 #include "workload/campaign.hpp"
@@ -176,17 +178,18 @@ class ParallelEquivFixture : public ::testing::Test {
 Netlist* ParallelEquivFixture::netlist_ = nullptr;
 PatternSet* ParallelEquivFixture::patterns_ = nullptr;
 
+const std::size_t kBatchThreads[] = {1, 2, 3, 4, 8, 37};
+
 TEST_F(ParallelEquivFixture, SignatureBatchMatchesSerial) {
   FaultSimulator fsim(*netlist_, *patterns_);
   const std::vector<Fault> faults = make_fault_list(*netlist_, 64, 7);
-  const auto serial = fsim.signatures(faults, ExecPolicy::serial());
-  ASSERT_EQ(serial.size(), faults.size());
-  // Serial batch equals the one-at-a-time member calls.
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    EXPECT_EQ(serial[i], fsim.signature(faults[i])) << "fault " << i;
-  for (const ExecPolicy& policy : kPolicies) {
-    SCOPED_TRACE("n_threads=" + std::to_string(policy.n_threads));
-    EXPECT_EQ(fsim.signatures(faults, policy), serial);
+  std::vector<ErrorSignature> reference;
+  for (const Fault& f : faults) reference.push_back(fsim.signature(f));
+  for (std::size_t threads : kBatchThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(solo_signatures(*netlist_, *patterns_, faults,
+                              ExecPolicy::parallel(threads)),
+              reference);
   }
 }
 
@@ -196,14 +199,14 @@ TEST_F(ParallelEquivFixture, MatchCountsAndScoresMatchSerial) {
   // "Observed" = a 2-defect composite response.
   const std::vector<Fault> defect{faults[0], faults[15]};
   const ErrorSignature observed = fsim.signature(defect);
-  const auto serial = fsim.signatures(faults, ExecPolicy::serial());
   const ScoreWeights weights;
-  for (const ExecPolicy& policy : kPolicies) {
-    SCOPED_TRACE("n_threads=" + std::to_string(policy.n_threads));
-    const auto par = fsim.signatures(faults, policy);
-    ASSERT_EQ(par.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      const MatchCounts ms = match(observed, serial[i]);
+  for (std::size_t threads : kBatchThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto par = solo_signatures(*netlist_, *patterns_, faults,
+                                     ExecPolicy::parallel(threads));
+    ASSERT_EQ(par.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const MatchCounts ms = match(observed, fsim.signature(faults[i]));
       const MatchCounts mp = match(observed, par[i]);
       expect_equal_counts(ms, mp);
       EXPECT_EQ(score_of(ms, weights), score_of(mp, weights));
@@ -214,30 +217,88 @@ TEST_F(ParallelEquivFixture, MatchCountsAndScoresMatchSerial) {
 TEST_F(ParallelEquivFixture, FewerFaultsThanThreads) {
   FaultSimulator fsim(*netlist_, *patterns_);
   const std::vector<Fault> faults = make_fault_list(*netlist_, 3, 13);
-  const auto serial = fsim.signatures(faults, ExecPolicy::serial());
-  EXPECT_EQ(fsim.signatures(faults, ExecPolicy::parallel(8)), serial);
-  EXPECT_EQ(fsim.signatures(faults, ExecPolicy::parallel(37)), serial);
+  std::vector<ErrorSignature> reference;
+  for (const Fault& f : faults) reference.push_back(fsim.signature(f));
+  EXPECT_EQ(solo_signatures(*netlist_, *patterns_, faults,
+                            ExecPolicy::parallel(8)),
+            reference);
+  EXPECT_EQ(solo_signatures(*netlist_, *patterns_, faults,
+                            ExecPolicy::parallel(37)),
+            reference);
 }
 
 TEST_F(ParallelEquivFixture, ZeroFaultsIsEmptyForAnyPolicy) {
   FaultSimulator fsim(*netlist_, *patterns_);
   const std::vector<Fault> none;
-  for (const ExecPolicy& policy : kPolicies) {
-    EXPECT_TRUE(fsim.signatures(none, policy).empty());
-    EXPECT_TRUE(fsim.detected(none, policy).empty());
-    EXPECT_EQ(fsim.coverage(none, policy), 1.0);
+  EXPECT_TRUE(fsim.detected(none).empty());
+  EXPECT_EQ(fsim.coverage(none), 1.0);
+  for (std::size_t threads : kBatchThreads) {
+    const ExecPolicy policy = ExecPolicy::parallel(threads);
+    EXPECT_TRUE(solo_signatures(*netlist_, *patterns_, none, policy).empty());
+    std::size_t visits = 0;
+    EXPECT_EQ(for_each_fault_by_site(
+                  none, policy,
+                  [&] { return SingleFaultPropagator(*netlist_, *patterns_); },
+                  [&](std::size_t, SingleFaultPropagator&) { ++visits; }),
+              0u);
+    EXPECT_EQ(visits, 0u);
   }
 }
 
+/// Detection is a non-empty signature: the serial reference's detected /
+/// coverage agree with the batch for every thread count.
 TEST_F(ParallelEquivFixture, DetectionAndCoverageMatchSerial) {
   FaultSimulator fsim(*netlist_, *patterns_);
   const std::vector<Fault> faults = make_fault_list(*netlist_, 96, 17);
   const auto serial = fsim.detected(faults);
-  const double cov_serial = fsim.coverage(faults);
-  for (const ExecPolicy& policy : kPolicies) {
-    SCOPED_TRACE("n_threads=" + std::to_string(policy.n_threads));
-    EXPECT_EQ(fsim.detected(faults, policy), serial);
-    EXPECT_EQ(fsim.coverage(faults, policy), cov_serial);
+  std::size_t n_detected = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    EXPECT_EQ(serial[i], fsim.detects(faults[i])) << "fault " << i;
+    n_detected += serial[i];
+  }
+  EXPECT_EQ(fsim.coverage(faults), static_cast<double>(n_detected) /
+                                       static_cast<double>(faults.size()));
+  for (std::size_t threads : kBatchThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto sigs = solo_signatures(*netlist_, *patterns_, faults,
+                                      ExecPolicy::parallel(threads));
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      EXPECT_EQ(!sigs[i].empty(), serial[i]) << "fault " << i;
+  }
+}
+
+/// Every index is visited once, each site flipped once, whatever the
+/// thread count — also when one site owns most of the faults.
+TEST_F(ParallelEquivFixture, SiteScheduleVisitsEachFaultOnceOnSkewedGroups) {
+  FaultSimulator fsim(*netlist_, *patterns_);
+  std::vector<Fault> faults = make_fault_list(*netlist_, 24, 41);
+  for (NetId aggressor = 0; faults.size() < 160; ++aggressor)
+    if (aggressor != 21 && !is_feedback_pair(*netlist_, 21, aggressor))
+      faults.push_back(Fault::bridge_dom(21, aggressor));
+  std::vector<ErrorSignature> reference;
+  for (const Fault& f : faults) reference.push_back(fsim.signature(f));
+  std::map<NetId, std::size_t> per_site;
+  for (const Fault& f : faults) ++per_site[f.net];
+
+  obs::Counter& flips = obs::registry().counter("propagate.site_flips");
+  for (std::size_t threads : kBatchThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<ErrorSignature> got(faults.size());
+    std::vector<std::atomic<int>> visits(faults.size());
+    const std::uint64_t before = flips.value();
+    EXPECT_EQ(for_each_fault_by_site(
+                  faults, ExecPolicy::parallel(threads),
+                  [&] { return SingleFaultPropagator(*netlist_, *patterns_); },
+                  [&](std::size_t i, SingleFaultPropagator& prop) {
+                    ++visits[i];
+                    got[i] = prop.signature(faults[i]);
+                  }),
+              0u);
+    EXPECT_LE(flips.value() - before, per_site.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      ASSERT_EQ(visits[i].load(), 1) << "fault " << i;
+      EXPECT_EQ(got[i], reference[i]) << "fault " << i;
+    }
   }
 }
 
@@ -255,14 +316,24 @@ TEST_F(ParallelEquivFixture, PairSimulatorMatchesSerial) {
     faults.push_back(rng() % 2 ? Fault::slow_to_rise(net)
                                : Fault::slow_to_fall(net));
   }
-  const auto serial = fsim.signatures(faults, ExecPolicy::serial());
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    EXPECT_EQ(serial[i], fsim.signature(faults[i])) << "fault " << i;
-  for (const ExecPolicy& policy : kPolicies) {
-    SCOPED_TRACE("n_threads=" + std::to_string(policy.n_threads));
-    EXPECT_EQ(fsim.signatures(faults, policy), serial);
-    EXPECT_EQ(fsim.coverage(faults, policy),
-              fsim.coverage(faults, ExecPolicy::serial()));
+  std::vector<ErrorSignature> reference;
+  std::size_t n_detected = 0;
+  for (const Fault& f : faults) {
+    reference.push_back(fsim.signature(f));
+    n_detected += fsim.detects(f);
+  }
+  EXPECT_EQ(fsim.coverage(faults), static_cast<double>(n_detected) /
+                                       static_cast<double>(faults.size()));
+  for (std::size_t threads : kBatchThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<ErrorSignature> got(faults.size());
+    for_each_fault_by_site(
+        faults, ExecPolicy::parallel(threads),
+        [&] { return SingleFaultPropagator(*netlist_, launch, capture); },
+        [&](std::size_t i, SingleFaultPropagator& prop) {
+          got[i] = prop.signature(faults[i]);
+        });
+    EXPECT_EQ(got, reference);
   }
 }
 
@@ -315,17 +386,19 @@ std::vector<Fault> bridge_heavy_list(const Netlist& nl, std::size_t n,
 TEST_F(ParallelEquivFixture, FeedbackBridgesMatchSerialAtEveryThreadCount) {
   FaultSimulator fsim(*netlist_, *patterns_);
   const std::vector<Fault> faults = bridge_heavy_list(*netlist_, 120, 0xFB);
-  const auto serial_sigs = fsim.signatures(faults, ExecPolicy::serial());
-  const auto serial_det = fsim.detected(faults, ExecPolicy::serial());
-  // The one-at-a-time member calls agree too, whatever the member machine
-  // simulated before.
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    ASSERT_EQ(fsim.signature(faults[i]), serial_sigs[i]) << "fault " << i;
-  for (std::size_t threads : kThreadAxis) {
+  // The one-at-a-time member calls answer the same whatever the member
+  // machine simulated before.
+  std::vector<ErrorSignature> reference;
+  for (const Fault& f : faults) reference.push_back(fsim.signature(f));
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    ASSERT_EQ(fsim.signature(faults[i]), reference[i]) << "fault " << i;
+    EXPECT_EQ(fsim.detects(faults[i]), !reference[i].empty()) << "fault " << i;
+  }
+  for (std::size_t threads : kBatchThreads) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const ExecPolicy policy = ExecPolicy::parallel(threads);
-    EXPECT_EQ(fsim.signatures(faults, policy), serial_sigs);
-    EXPECT_EQ(fsim.detected(faults, policy), serial_det);
+    EXPECT_EQ(solo_signatures(*netlist_, *patterns_, faults,
+                              ExecPolicy::parallel(threads)),
+              reference);
   }
 }
 
