@@ -99,13 +99,14 @@ class SoloSignatureStore {
 class DiagnosisContext {
  public:
   /// Static-test context (single-frame patterns). `precomputed_good` is
-  /// no longer read (the propagator baseline carries the good response);
-  /// the parameter stays so existing callers keep compiling. `baseline`,
-  /// if given, must be SingleFaultPropagator::make_baseline(netlist,
-  /// patterns) — it is used (shared, not copied) whenever the datalog's
-  /// window spans the full pattern set, sparing each context the
-  /// full-circuit good simulation; otherwise the context builds its own
-  /// once, and every propagator it runs shares it. `trace`, if
+  /// not read (the propagator baseline carries the good response); pass
+  /// nullptr. The parameter stays because the benchmark's
+  /// `mddbench/src/cold.cpp` passes it. `baseline`, if given, must be
+  /// SingleFaultPropagator::make_baseline(netlist, patterns) — it is
+  /// used (shared, not copied) whenever the datalog's window spans the
+  /// full pattern set, sparing each context the full-circuit good
+  /// simulation; otherwise the context builds its own once, and every
+  /// propagator it runs shares it. `trace`, if
   /// non-null, receives nested "extract" / "baseline" spans covering
   /// candidate extraction and simulation-engine setup (the serving layer
   /// threads its per-request trace through here).

@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -115,142 +114,6 @@ void write_all(int fd, const char* data, std::size_t n) {
   }
 }
 
-/// The accept loop shared by the TCP and Unix-domain transports: one
-/// reader thread per connection, all feeding the shared service queue; a
-/// shutdown op drains, acknowledges, and closes the listener.
-int serve_on_listener(DiagnosisService& service, int listen_fd,
-                      std::ostream& log) {
-  std::atomic<bool> stop{false};
-  std::mutex threads_mutex;
-  std::vector<std::thread> threads;
-  std::mutex log_mutex;  // connection threads share `log`
-
-  const auto connection_main = [&](int fd) {
-    serve_metrics().connections.inc();
-    std::mutex write_mutex;
-    Outstanding outstanding;
-    // One log line per connection, not per failed write: once the client
-    // is gone every queued response for it fails the same way.
-    bool write_failed = false;
-    const auto respond = [&](const Json& response) {
-      const std::string line = response.dump() + "\n";
-      std::lock_guard<std::mutex> lock(write_mutex);
-      if (write_failed) return;
-      try {
-        write_all(fd, line.data(), line.size());
-      } catch (const std::exception& e) {
-        // Client went away; outstanding work still drains harmlessly —
-        // but the event is counted and logged, not swallowed.
-        write_failed = true;
-        serve_metrics().connection_errors.inc();
-        Json record;
-        record.set("event", "connection_error");
-        record.set("fd", fd);
-        record.set("error", e.what());
-        std::lock_guard<std::mutex> log_lock(log_mutex);
-        log << record.dump() << "\n";
-        log.flush();
-      }
-    };
-
-    std::string buffer;
-    char chunk[4096];
-    bool shutdown_server = false;
-    for (;;) {
-      const ssize_t r = ::read(fd, chunk, sizeof chunk);
-      if (r < 0 && errno == EINTR) continue;
-      if (r <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(r));
-      std::size_t nl;
-      while ((nl = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, nl);
-        buffer.erase(0, nl + 1);
-        if (blank(line)) continue;
-        Json request;
-        try {
-          request = Json::parse(line);
-        } catch (const std::exception& e) {
-          serve_metrics().parse_errors.inc();
-          respond(parse_error_response(e.what()));
-          continue;
-        }
-        if (request.get_string("op") == "shutdown") {
-          outstanding.wait_idle();
-          Json ack;
-          if (const Json* id = request.find("id")) ack.set("id", *id);
-          ack.set("status", "ok");
-          ack.set("op", "shutdown");
-          respond(ack);
-          shutdown_server = true;
-          break;
-        }
-        if (request.get_string("op") == "ping") {
-          // Answered on the reader thread, ahead of the queue: the
-          // router's heartbeat must measure process liveness, not queue
-          // depth (a shard deep into a batch is busy, not hung).
-          respond(service.handle(request));
-          continue;
-        }
-        outstanding.add();
-        service.submit(
-            std::move(request),
-            [&](Json response) {
-              respond(response);
-              outstanding.done();
-            },
-            [&](const Json& streamed) { respond(streamed); });
-      }
-      if (shutdown_server) break;
-    }
-    outstanding.wait_idle();
-    ::close(fd);
-    if (shutdown_server) {
-      stop.store(true);
-      ::shutdown(listen_fd, SHUT_RDWR);  // unblocks accept()
-    }
-  };
-
-  for (;;) {
-    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed (shutdown) or fatal
-    }
-    if (stop.load()) {
-      ::close(fd);
-      break;
-    }
-    std::lock_guard<std::mutex> lock(threads_mutex);
-    // An exception escaping a thread entry would std::terminate the whole
-    // daemon; downgrade to one logged, counted connection error.
-    threads.emplace_back(
-        [&](int cfd) {
-          try {
-            connection_main(cfd);
-          } catch (const std::exception& e) {
-            serve_metrics().connection_errors.inc();
-            Json record;
-            record.set("event", "connection_thread_error");
-            record.set("fd", cfd);
-            record.set("error", e.what());
-            std::lock_guard<std::mutex> log_lock(log_mutex);
-            log << record.dump() << "\n";
-            log.flush();
-            ::close(cfd);
-          }
-        },
-        fd);
-  }
-  ::close(listen_fd);
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex);
-    for (std::thread& t : threads) t.join();
-    threads.clear();
-  }
-  log << "openmdd_serve: shut down\n";
-  return 0;
-}
-
 }  // namespace
 
 int serve_stdio(DiagnosisService& service, std::istream& in,
@@ -328,41 +191,138 @@ int serve_tcp(DiagnosisService& service, std::uint16_t port,
   log << "openmdd_serve: listening on 127.0.0.1:" << bound_port << "\n";
   log.flush();
   if (on_listening) on_listening(bound_port);
-  return serve_on_listener(service, listen_fd, log);
-}
 
-int serve_uds(DiagnosisService& service, const std::string& path,
-              std::ostream& log,
-              const std::function<void(const std::string&)>& on_listening) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    log << "openmdd_serve: socket path too long: " << path << "\n";
-    return 1;
+  // One reader thread per connection, all feeding the shared service
+  // queue; a shutdown op drains, acknowledges, and closes the listener.
+  std::atomic<bool> stop{false};
+  std::mutex threads_mutex;
+  std::vector<std::thread> threads;
+  std::mutex log_mutex;  // connection threads share `log`
+
+  const auto connection_main = [&](int fd) {
+    serve_metrics().connections.inc();
+    std::mutex write_mutex;
+    Outstanding outstanding;
+    // One log line per connection, not per failed write: once the client
+    // is gone every queued response for it fails the same way.
+    bool write_failed = false;
+    const auto respond = [&](const Json& response) {
+      const std::string line = response.dump() + "\n";
+      std::lock_guard<std::mutex> lock(write_mutex);
+      if (write_failed) return;
+      try {
+        write_all(fd, line.data(), line.size());
+      } catch (const std::exception& e) {
+        // Client went away; outstanding work still drains harmlessly —
+        // but the event is counted and logged, not swallowed.
+        write_failed = true;
+        serve_metrics().connection_errors.inc();
+        Json record;
+        record.set("event", "connection_error");
+        record.set("fd", fd);
+        record.set("error", e.what());
+        std::lock_guard<std::mutex> log_lock(log_mutex);
+        log << record.dump() << "\n";
+        log.flush();
+      }
+    };
+
+    std::string buffer;
+    char chunk[4096];
+    bool shutdown_server = false;
+    for (;;) {
+      const ssize_t r = ::read(fd, chunk, sizeof chunk);
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) break;
+      buffer.append(chunk, static_cast<std::size_t>(r));
+      std::size_t nl;
+      while ((nl = buffer.find('\n')) != std::string::npos) {
+        const std::string line = buffer.substr(0, nl);
+        buffer.erase(0, nl + 1);
+        if (blank(line)) continue;
+        Json request;
+        try {
+          request = Json::parse(line);
+        } catch (const std::exception& e) {
+          serve_metrics().parse_errors.inc();
+          respond(parse_error_response(e.what()));
+          continue;
+        }
+        if (request.get_string("op") == "shutdown") {
+          outstanding.wait_idle();
+          Json ack;
+          if (const Json* id = request.find("id")) ack.set("id", *id);
+          ack.set("status", "ok");
+          ack.set("op", "shutdown");
+          respond(ack);
+          shutdown_server = true;
+          break;
+        }
+        if (request.get_string("op") == "ping") {
+          // Answered on the reader thread, ahead of the queue: a
+          // supervisor's health probe must measure process liveness, not
+          // queue depth (a daemon deep into a batch is busy, not hung).
+          respond(service.handle(request));
+          continue;
+        }
+        outstanding.add();
+        service.submit(
+            std::move(request),
+            [&](Json response) {
+              respond(response);
+              outstanding.done();
+            },
+            [&](const Json& streamed) { respond(streamed); });
+      }
+      if (shutdown_server) break;
+    }
+    outstanding.wait_idle();
+    ::close(fd);
+    if (shutdown_server) {
+      stop.store(true);
+      ::shutdown(listen_fd, SHUT_RDWR);  // unblocks accept()
+    }
+  };
+
+  for (;;) {
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      break;  // listener closed (shutdown) or fatal
+    }
+    if (stop.load()) {
+      ::close(fd);
+      break;
+    }
+    std::lock_guard<std::mutex> lock(threads_mutex);
+    // An exception escaping a thread entry would std::terminate the whole
+    // daemon; downgrade to one logged, counted connection error.
+    threads.emplace_back(
+        [&](int cfd) {
+          try {
+            connection_main(cfd);
+          } catch (const std::exception& e) {
+            serve_metrics().connection_errors.inc();
+            Json record;
+            record.set("event", "connection_thread_error");
+            record.set("fd", cfd);
+            record.set("error", e.what());
+            std::lock_guard<std::mutex> log_lock(log_mutex);
+            log << record.dump() << "\n";
+            log.flush();
+            ::close(cfd);
+          }
+        },
+        fd);
   }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd < 0) {
-    log << "openmdd_serve: socket: " << std::strerror(errno) << "\n";
-    return 1;
+  ::close(listen_fd);
+  {
+    std::lock_guard<std::mutex> lock(threads_mutex);
+    for (std::thread& t : threads) t.join();
+    threads.clear();
   }
-  // A respawned worker reclaims its shard's address: the stale socket
-  // file of a crashed predecessor must not fail the bind.
-  ::unlink(path.c_str());
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
-          0 ||
-      ::listen(listen_fd, 64) < 0) {
-    log << "openmdd_serve: bind/listen " << path << ": "
-        << std::strerror(errno) << "\n";
-    ::close(listen_fd);
-    return 1;
-  }
-  log << "openmdd_serve: listening on " << path << "\n";
-  log.flush();
-  if (on_listening) on_listening(path);
-  const int rc = serve_on_listener(service, listen_fd, log);
-  ::unlink(path.c_str());
-  return rc;
+  log << "openmdd_serve: shut down\n";
+  return 0;
 }
 
 int connect_tcp_fd(const std::string& host, std::uint16_t port,
@@ -386,28 +346,6 @@ int connect_tcp_fd(const std::string& host, std::uint16_t port,
       throw std::runtime_error("cannot connect to " + host + ":" +
                                std::to_string(port));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-}
-
-int connect_uds_fd(const std::string& path, int connect_timeout_ms) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path))
-    throw std::runtime_error("socket path too long: " + path);
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(connect_timeout_ms);
-  for (;;) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-      throw std::runtime_error(std::string("socket: ") +
-                               std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0)
-      return fd;
-    ::close(fd);
-    if (std::chrono::steady_clock::now() >= give_up)
-      throw std::runtime_error("cannot connect to " + path);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 }
 

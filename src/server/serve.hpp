@@ -1,22 +1,17 @@
 // openmdd — transports for the diagnosis daemon.
 //
 // The service itself is transport-free (JSON in, JSON out); this layer
-// frames it as line-delimited JSON over three transports:
+// frames it as line-delimited JSON over two transports:
 //
 //  * serve_stdio — one request object per stdin line, one response object
 //    per stdout line. Responses are written as they complete, so they can
 //    arrive out of order relative to requests — clients match on `id`.
 //  * serve_tcp — same framing on a loopback-only TCP socket, one reader
 //    thread per connection, all feeding the shared service queue.
-//  * serve_uds — same framing on a Unix-domain stream socket; this is the
-//    shard-worker transport behind the router (server/router.hpp), kept
-//    off TCP so a box full of workers burns no ports and gets filesystem
-//    permissions for free.
 //
-// All loops understand {"op":"shutdown"}: drain outstanding work,
-// acknowledge, and return. The matching blocking clients (LineClient and
-// its TCP/UDS flavors) are used by openmdd_loadgen, the router, and the
-// smoke tests.
+// Both loops understand {"op":"shutdown"}: drain outstanding work,
+// acknowledge, and return. The matching blocking client (LineClient and
+// its TCP flavor) is used by openmdd_loadgen and the smoke tests.
 #pragma once
 
 #include <cstdint>
@@ -33,29 +28,19 @@ namespace mdd::server {
 int serve_stdio(DiagnosisService& service, std::istream& in,
                 std::ostream& out);
 
-/// Binds 127.0.0.1:`port` (0 = ephemeral), reports the bound port through
-/// `on_listening`, serves until a shutdown op. Returns 0 on clean exit,
-/// nonzero on socket errors. Loopback only by design — the daemon speaks
-/// an unauthenticated protocol.
+/// Binds 127.0.0.1:`port` (0 = ephemeral), writes the readiness line
+/// `openmdd_serve: listening on 127.0.0.1:<port>` to `log` (scripts parse
+/// it for the port), reports the bound port through `on_listening`, and
+/// serves until a shutdown op. Returns 0 on clean exit, nonzero on socket
+/// errors. Loopback only by design — the daemon speaks an unauthenticated
+/// protocol.
 int serve_tcp(DiagnosisService& service, std::uint16_t port,
               std::ostream& log,
               const std::function<void(std::uint16_t)>& on_listening = {});
 
-/// Binds a Unix-domain stream socket at `path` (an existing socket file
-/// is unlinked first — workers respawn onto the same address), reports
-/// readiness through `on_listening`, serves until a shutdown op. Returns
-/// 0 on clean exit, nonzero on socket errors.
-int serve_uds(DiagnosisService& service, const std::string& path,
-              std::ostream& log,
-              const std::function<void(const std::string&)>& on_listening = {});
-
-/// Connects a blocking stream socket to the Unix-domain address `path`,
-/// retrying for up to `connect_timeout_ms` (worker startup races).
-/// Returns the connected fd (CLOEXEC); throws std::runtime_error on
-/// timeout.
-int connect_uds_fd(const std::string& path, int connect_timeout_ms = 5000);
-
-/// Same, for 127.0.0.1:`port` TCP.
+/// Connects a blocking TCP stream socket to `host`:`port`, retrying for
+/// up to `connect_timeout_ms` (server startup races). Returns the
+/// connected fd (CLOEXEC); throws std::runtime_error on timeout.
 int connect_tcp_fd(const std::string& host, std::uint16_t port,
                    int connect_timeout_ms = 5000);
 
@@ -94,13 +79,6 @@ class TcpLineClient : public LineClient {
   TcpLineClient(const std::string& host, std::uint16_t port,
                 int connect_timeout_ms = 5000)
       : LineClient(connect_tcp_fd(host, port, connect_timeout_ms)) {}
-};
-
-/// LineClient connected to a Unix-domain socket path.
-class UdsLineClient : public LineClient {
- public:
-  explicit UdsLineClient(const std::string& path, int connect_timeout_ms = 5000)
-      : LineClient(connect_uds_fd(path, connect_timeout_ms)) {}
 };
 
 }  // namespace mdd::server

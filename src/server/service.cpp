@@ -224,12 +224,12 @@ void DiagnosisService::refresh_session(
   // remainder for the next round. Failures are counted and skipped — a
   // broken disk must never take the serving path down.
   //
-  // The cross-process flock serializes folds of one store folder: with
-  // sharded serving every worker runs this thread against the shared
-  // --store-dir, and two unserialized folds are a lost update (both read
-  // version N, the second rename drops the first's learned faults while
-  // its journal was already compacted). `busy` skips the round — the
-  // holder folds now, this worker's backlog folds on a later tick
+  // The cross-process flock serializes folds of one store folder: an
+  // operator's `openmdd dict refresh` (or a second daemon) may fold the
+  // same --store-dir, and two unserialized folds are a lost update (both
+  // read version N, the second rename drops the first's learned faults
+  // while its journal was already compacted). `busy` skips the round —
+  // the holder folds now, this daemon's backlog folds on a later tick
   // against the holder's output. The snapshot is taken AFTER the lock so
   // it cannot interleave with the holder's compact.
   try {
@@ -363,15 +363,6 @@ Json DiagnosisService::dispatch(const Json& request,
     r.set("metrics", snapshot_to_json(obs::registry().snapshot()));
     return r;
   }
-  if (op == "prometheus") {
-    // The text exposition over the protocol socket: how the shard router
-    // collects worker registries to aggregate under a `shard` label
-    // without every worker burning its own metrics HTTP port.
-    Json r = make_response(request, "ok");
-    r.set("op", "prometheus");
-    r.set("text", obs::render_prometheus(obs::registry().snapshot()));
-    return r;
-  }
   return error_response(request, "unknown op '" + op + "'");
 }
 
@@ -395,7 +386,7 @@ DiagnosisService::DiagnoseOutcome DiagnosisService::diagnose_one(
   CandidateOptions candidate_options;
   candidate_options.trace_store = session.traces.get();
   DiagnosisContext ctx(session.netlist, session.patterns, out.log,
-                       candidate_options, &session.good, session.baseline,
+                       candidate_options, nullptr, session.baseline,
                        &trace);
   if (session.memo) ctx.attach_solo_store(session.memo.get());
   if (session.composites)

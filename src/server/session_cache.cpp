@@ -8,7 +8,6 @@
 #include "netlist/bench_parser.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "obs/metrics.hpp"
-#include "sim/sim2.hpp"
 #include "store/format.hpp"
 #include "workload/textio.hpp"
 
@@ -96,7 +95,6 @@ std::shared_ptr<const Session> load_session(const std::string& netlist_path,
         "pattern width (" + std::to_string(session->patterns.n_signals()) +
         ") does not match netlist inputs (" +
         std::to_string(session->netlist.n_inputs()) + "): " + patterns_path);
-  session->good = simulate(session->netlist, session->patterns);
   session->baseline = SingleFaultPropagator::make_baseline(session->netlist,
                                                            session->patterns);
   // The memo learns the session's full window so truncated-window lookups
@@ -143,8 +141,8 @@ std::size_t approx_session_bytes(const Session& session) {
     baseline_bytes = session.baseline->values.size() *
                          session.netlist.n_nets() * sizeof(Word) +
                      matrix_bytes(session.baseline->good);
-  return matrix_bytes(session.patterns) + matrix_bytes(session.good) +
-         baseline_bytes + session.netlist.n_nets() * 160;
+  return matrix_bytes(session.patterns) + baseline_bytes +
+         session.netlist.n_nets() * 160;
 }
 
 SessionCache::SessionCache(std::size_t max_bytes, std::size_t memo_bytes,

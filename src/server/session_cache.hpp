@@ -3,8 +3,8 @@
 // The unit of volume diagnosis is one circuit × thousands of tester
 // datalogs; the session cache makes the circuit-level work pay once. A
 // session holds the parsed netlist, the parsed pattern set, and the
-// good-machine response (simulated once, reused by every per-request
-// DiagnosisContext through the precomputed-good path). Sessions are keyed
+// propagator baseline (good-machine values simulated once, shared by
+// every full-window DiagnosisContext). Sessions are keyed
 // by (netlist path, patterns path), LRU-evicted against a byte budget,
 // and handed out as shared_ptr — eviction drops the cache's reference,
 // in-flight requests keep theirs.
@@ -37,8 +37,6 @@ namespace mdd::server {
 struct Session {
   Netlist netlist;
   PatternSet patterns;
-  /// Good-machine response over the full pattern set (simulate() output).
-  PatternSet good;
   /// Cross-request solo-signature memo (full-window datalogs only);
   /// thread-safe, so it lives happily inside a shared const Session.
   std::unique_ptr<SignatureMemo> memo;

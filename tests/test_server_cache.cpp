@@ -40,9 +40,9 @@ CircuitFiles write_circuit_files(const std::string& tag) {
   return f;
 }
 
-/// Asserts the byte-accounting invariant (satellite of the sharding PR):
-/// the running `bytes_` total must equal the sum of resident sessions'
-/// approx_bytes, and the LRU index bookkeeping must be self-consistent.
+/// Asserts the byte-accounting invariant: the running `bytes_` total must
+/// equal the sum of resident sessions' approx_bytes, and the LRU index
+/// bookkeeping must be self-consistent.
 /// Called after every mutation-heavy sequence in this file so any drift
 /// across load/evict/pin paths fails loudly at the point it appears.
 void expect_sound_accounting(const SessionCache& cache) {
@@ -78,20 +78,15 @@ TEST(SessionCache, SessionPrecomputesSharedState) {
   SessionCache cache(1ull << 30);
   const auto session = cache.get(f.netlist_path, f.patterns_path);
 
-  // The cached good response is exactly what a fresh simulation produces.
-  const PatternSet expected_good =
-      simulate(session->netlist, session->patterns);
-  EXPECT_EQ(session->good, expected_good);
-
   // Propagator baseline: one [block][net] row per 64-pattern block, plus
-  // the good PO response — full-window shape, ready for sharing.
+  // the good PO response — exactly what a fresh simulation produces.
   ASSERT_NE(session->baseline, nullptr);
+  EXPECT_EQ(session->baseline->good,
+            simulate(session->netlist, session->patterns));
   const std::size_t n_blocks = (session->patterns.n_patterns() + 63) / 64;
   ASSERT_EQ(session->baseline->values.size(), n_blocks);
   for (const auto& block : session->baseline->values)
     EXPECT_EQ(block.size(), session->netlist.n_nets());
-  EXPECT_EQ(session->baseline->good.n_patterns(),
-            session->patterns.n_patterns());
 
   // Cross-request memos exist (empty until requests populate them).
   ASSERT_NE(session->memo, nullptr);
@@ -156,7 +151,7 @@ TEST(SessionCache, EvictedSessionSurvivesForHolders) {
   EXPECT_GE(cache.stats().evictions, 1u);
 
   // The evicted session remains fully usable.
-  EXPECT_EQ(held->good, simulate(held->netlist, held->patterns));
+  EXPECT_EQ(held->baseline->good, simulate(held->netlist, held->patterns));
   expect_sound_accounting(cache);
 }
 

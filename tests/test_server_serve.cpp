@@ -110,12 +110,22 @@ TEST(ServeTcp, MalformedLineAnswersErrorAndCountsParseError) {
   }
   EXPECT_GT(counter_value("server.parse_errors"), parse_before);
   server.shutdown();
+  server.thread.join();  // log is single-owner again after the join
+
+  // The readiness line is an interface: daemon launchers (CI, the
+  // benchmark harness) find the bound port by parsing exactly this line.
+  const std::string ready =
+      "openmdd_serve: listening on 127.0.0.1:" + std::to_string(server.port) +
+      "\n";
+  EXPECT_EQ(server.log.str().substr(0, ready.size()), ready)
+      << "log was:\n"
+      << server.log.str();
 }
 
 TEST(ServeTcp, PingBypassesABusyQueue) {
   // Pings are answered on the connection's reader thread, ahead of the
-  // work queue — the router's heartbeat must measure process liveness,
-  // so a daemon saturated with slow work still answers promptly.
+  // work queue — a supervisor's health probe must measure process
+  // liveness, so a daemon saturated with slow work still answers promptly.
   TcpServerFixture server;
   TcpLineClient busy("127.0.0.1", server.port);
   busy.send_line("{\"op\":\"sleep\",\"ms\":2000}");
@@ -135,32 +145,6 @@ TEST(ServeTcp, PingBypassesABusyQueue) {
   EXPECT_NE(busy.recv_line().find("\"ok\""), std::string::npos);
   EXPECT_NE(busy.recv_line().find("\"ok\""), std::string::npos);
   server.shutdown();
-}
-
-TEST(ServeTcp, UdsTransportRoundTrips) {
-  DiagnosisService service;
-  std::ostringstream log;
-  const std::string path =
-      ::testing::TempDir() + "mdd_uds_" + std::to_string(::getpid()) +
-      ".sock";
-  std::promise<std::string> bound;
-  auto bound_future = bound.get_future();
-  std::thread thread([&] {
-    serve_uds(service, path, log,
-              [&bound](const std::string& p) { bound.set_value(p); });
-  });
-  ASSERT_EQ(bound_future.get(), path);
-  {
-    UdsLineClient client(path);
-    const std::string response = client.roundtrip("{\"op\":\"ping\"}");
-    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
-        << response;
-  }
-  {
-    UdsLineClient client(path);
-    client.roundtrip("{\"op\":\"shutdown\"}");
-  }
-  thread.join();
 }
 
 namespace {
@@ -207,16 +191,6 @@ TEST(MetricsHttp, IdleClientIsCutOffAndScrapingContinues) {
   const std::string response = http_get(server.port());
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos)
       << "scraping must survive a hostile client";
-  server.stop();
-}
-
-TEST(MetricsHttp, BodyProviderReplacesRegistryExposition) {
-  std::ostringstream log;
-  MetricsHttpServer server(0, log, {},
-                           [] { return std::string("router_series 7\n"); });
-  const std::string response = http_get(server.port());
-  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(response.find("router_series 7"), std::string::npos);
   server.stop();
 }
 

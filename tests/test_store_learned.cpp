@@ -309,7 +309,7 @@ TEST(RefreshLock, UnusableLockFileFailsOpen) {
 }
 
 TEST(RefreshLock, RefreshStoreWaitsForTheHolder) {
-  // Regression for the sharded-daemon lost-update race: refresh_store
+  // Regression for the two-folder lost-update race: refresh_store
   // must block on the holder and re-read journal + store after it
   // releases, so the holder's fold cannot be silently overwritten.
   const LearnedFixture f = LearnedFixture::make("lock_wait", true);
